@@ -9,8 +9,8 @@ line would mean a genuine counterexample (none are expected).
 import argparse
 import time
 
-from hookalex.braid import closure_is_knot, parse_braid
-from hookalex.cli import DEFAULT_TABLE_BRAIDS
+from hookalex.braid import BraidError, closure_is_knot
+from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
 from hookalex.evaluator import check_scaling
 from hookalex.young import hooks_up_to_size
 
@@ -22,14 +22,16 @@ def main() -> int:
                     help="semicolon-separated 'letters@strands' entries")
     args = ap.parse_args()
 
+    try:
+        parsed = parse_table_braids(tuple(s for s in args.braids.split(";") if s.strip()))
+    except BraidError as exc:
+        ap.error(str(exc))
     braids = []
-    for item in args.braids.split(";"):
-        text, _, strands = item.partition("@")
-        b = parse_braid(text.strip(), int(strands))
+    for b in parsed:
         if closure_is_knot(b):
             braids.append(b)
         else:
-            print(f"# skipping link: '{text.strip()}' @ {strands}")
+            print(f"# skipping link: '{b}' @ {b.strands}")
 
     failures = 0
     for b in braids:

@@ -11,7 +11,7 @@ import argparse
 import time
 
 from hookalex.rmatrix import commutation_holds, yang_baxter_holds
-from hookalex.young import build_graph, hooks_up_to_size
+from hookalex.young import HookGraph, hooks_up_to_size
 
 
 def main() -> int:
@@ -24,7 +24,7 @@ def main() -> int:
     t0 = time.perf_counter()
     for h in hooks_up_to_size(args.max_hook_size):
         for m in range(3, args.max_strands + 1):
-            graph = build_graph(h, m)
+            graph = HookGraph(h, m)
             for k in range(m):
                 for i in range(1, m - 1):
                     checks += 1

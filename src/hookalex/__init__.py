@@ -10,7 +10,7 @@ from .braid import BraidWord, closure_is_knot, markov_variants, parse_braid
 from .evaluator import AlexanderResult, ScalingReport, alexander, check_scaling
 from .laurent import LaurentPoly, RationalFunc, qnum, qnum_bullet
 from .oracle import burau_alexander
-from .young import Hook, Partition, build_graph
+from .young import Hook, Partition
 
 __all__ = [
     "AlexanderResult",
@@ -21,7 +21,6 @@ __all__ = [
     "RationalFunc",
     "ScalingReport",
     "alexander",
-    "build_graph",
     "burau_alexander",
     "check_scaling",
     "closure_is_knot",

@@ -11,11 +11,11 @@ import sys
 from dataclasses import dataclass, field
 
 from .braid import BraidError, BraidWord, closure_is_knot, parse_braid
-from .evaluator import NormalizationError, alexander, check_scaling
+from .evaluator import NormalizationError, ScalingReport, alexander, check_scaling
 from .laurent import InexactDivisionError
 from .oracle import burau_alexander
 from .rmatrix import commutation_holds, yang_baxter_holds
-from .young import Hook, build_graph, hooks_up_to_size
+from .young import Hook, HookGraph, hooks_up_to_size
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,14 +114,32 @@ def _braid(cfg: RunConfig) -> BraidWord:
     return b
 
 
-def record_for(color: Hook, b: BraidWord) -> dict:
+def parse_table_braids(entries: tuple[str, ...]) -> list[BraidWord]:
+    """Parse ``letters@strands`` entries; a malformed one raises BraidError naming --braids."""
+    braids = []
+    for item in entries:
+        text, _, strands = item.partition("@")
+        if not strands:
+            raise BraidError(f"--braids: entry {item!r} is missing '@strands'")
+        try:
+            count = int(strands)
+        except ValueError:
+            raise BraidError(f"--braids: bad strand count in {item!r}") from None
+        try:
+            braids.append(parse_braid(text.strip(), count))
+        except BraidError as exc:
+            raise BraidError(f"--braids: {exc}") from exc
+    return braids
+
+
+def record_for(report: ScalingReport) -> dict:
     """The documented JSON record for one (braid, hook) evaluation."""
-    report = check_scaling(color, b)
+    b = report.braid
     return {
         "braid": " ".join(str(g) for g in b.letters),
         "strands": b.strands,
-        "arm": color.arm,
-        "leg": color.leg,
+        "arm": report.hook.arm,
+        "leg": report.hook.leg,
         "alexander": report.colored.to_json_dict(),
         "scaling_check": report.equal,
     }
@@ -130,7 +148,7 @@ def record_for(color: Hook, b: BraidWord) -> dict:
 def _run_eval(cfg: RunConfig, out) -> int:
     color, b = _hook(cfg), _braid(cfg)
     if cfg.fmt == "json":
-        print(json.dumps(record_for(color, b)), file=out)
+        print(json.dumps(record_for(check_scaling(color, b))), file=out)
     else:
         print(alexander(color, b).polynomial.to_text(), file=out)
     return EXIT_OK
@@ -140,7 +158,7 @@ def _run_check_theorem(cfg: RunConfig, out) -> int:
     color, b = _hook(cfg), _braid(cfg)
     report = check_scaling(color, b)
     if cfg.fmt == "json":
-        rec = record_for(color, b)
+        rec = record_for(report)
         rec["expected"] = report.scaled_fundamental.to_json_dict()
         print(json.dumps(rec), file=out)
     elif report.equal:
@@ -157,7 +175,7 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
     color = _hook(cfg)
     if cfg.strands < 3:
         raise BraidError("--strands: Yang-Baxter needs at least 3 strands")
-    graph = build_graph(color, cfg.strands)
+    graph = HookGraph(color, cfg.strands)
     ok = True
     for k in range(cfg.strands):
         for i in range(1, cfg.strands - 1):
@@ -176,25 +194,12 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
 
 
 def _run_table(cfg: RunConfig, out) -> int:
-    entries = []
-    for item in cfg.table_braids:
-        text, _, strands = item.partition("@")
-        if not strands:
-            raise BraidError(f"--braids: entry {item!r} is missing '@strands'")
-        try:
-            entries.append((text.strip(), int(strands)))
-        except ValueError:
-            raise BraidError(f"--braids: bad strand count in {item!r}") from None
     all_ok = True
-    for text, strands in entries:
-        try:
-            b = parse_braid(text, strands)
-        except BraidError as exc:
-            raise BraidError(f"--braids: {exc}") from exc
+    for b in parse_table_braids(cfg.table_braids):
         if not closure_is_knot(b):
             continue
         for color in hooks_up_to_size(cfg.max_hook_size):
-            rec = record_for(color, b)
+            rec = record_for(check_scaling(color, b))
             all_ok = all_ok and rec["scaling_check"]
             print(json.dumps(rec), file=out)
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

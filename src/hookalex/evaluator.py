@@ -23,7 +23,7 @@ from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .laurent import LaurentPoly, RationalFunc
 from .rmatrix import assemble_R, framing_factor, trace_product
 from .schur import ratio_at_A1
-from .young import Hook, build_graph
+from .young import Hook, HookGraph
 
 
 class NormalizationError(ArithmeticError):
@@ -36,7 +36,7 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
         raise NormalizationError("cannot normalize the zero polynomial")
     span = p.min_exp + p.degree()
     if span % 2 != 0:
-        raise NormalizationError(f"exponent range of {p} cannot be centered")
+        raise NormalizationError(f"exponent range of ({p.summary()}) cannot be centered")
     centered = p.shift(-span // 2)
     v = centered.at_one()
     if v == 1:
@@ -65,7 +65,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     if not closure_is_knot(b):
         raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
     m = b.strands
-    graph = build_graph(color, m)
+    graph = HookGraph(color, m)
     contributions = []
     total = RationalFunc.zero()
     for k in range(m):
@@ -75,8 +75,8 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
         term = weight * trace_product(ops)
         contributions.append((vertex, term))
         total = total + term
-    correction = (framing_factor(color) ** (-b.writhe)).as_rational()
-    poly = (correction * total).as_laurent()
+    correction = (framing_factor(color) ** (-b.writhe)).as_laurent()
+    poly = (total * correction).as_laurent()
     return AlexanderResult(unit_normalize(poly), color, b, tuple(contributions))
 
 

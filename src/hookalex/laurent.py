@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -194,6 +194,8 @@ class LaurentPoly:
 
     def evaluate(self, q: Scalar) -> Scalar:
         """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
+        if isinstance(q, int):
+            q = Fraction(q)
         acc = 0
         for exp in range(self.degree(), self.min_exp - 1, -1):
             acc = acc * q + self.coefficient(exp)
@@ -201,6 +203,17 @@ class LaurentPoly:
 
     def at_one(self) -> int:
         return sum(self.coeffs)
+
+    def summary(self) -> str:
+        """A bounded description for error messages: exponents, lead term, coefficient size."""
+        if self.is_zero():
+            return "0"
+        lead = self.coeffs[-1]
+        if abs(lead).bit_length() > 64:
+            lead = f"{'-' if lead < 0 else ''}<{abs(lead).bit_length()}-bit>"
+        bits = max(abs(c).bit_length() for c in self.coeffs)
+        return (f"exponents {self.min_exp}..{self.degree()}, lead {lead}q^{self.degree()}, "
+                f"{bits}-bit coefficients")
 
     # -- rendering -----------------------------------------------------------
 
@@ -300,6 +313,10 @@ def qnum_bullet(n: int, base: int) -> LaurentPoly:
     return qnum(n).substitute_power(base)
 
 
+def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> InexactDivisionError:
+    return InexactDivisionError(f"({num.summary()}) is not divisible by ({den.summary()})")
+
+
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Divide ``num`` by ``den`` in the Laurent ring, requiring zero remainder.
 
@@ -313,22 +330,24 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    shift = num.min_exp - den.min_exp
-    a = [Fraction(c) for c in num.coeffs]
+    a = list(num.coeffs)
     b = den.coeffs
-    if len(a) < len(b):
-        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    lead = Fraction(b[-1])
+    top = len(b) - 1
+    if len(a) <= top:
+        raise _not_divisible(num, den)
+    lower = [(j, bc) for j, bc in enumerate(b[:top]) if bc]
+    quo = [0] * (len(a) - top)
     for i in range(len(quo) - 1, -1, -1):
-        c = a[i + len(b) - 1] / lead
+        c, rem = divmod(a[i + top], b[top])
+        if rem:
+            raise _not_divisible(num, den)
         quo[i] = c
         if c:
-            for j, bc in enumerate(b):
+            for j, bc in lower:
                 a[i + j] -= c * bc
-    if any(a) or any(f.denominator != 1 for f in quo):
-        raise InexactDivisionError(f"({num}) is not divisible by ({den})")
-    return LaurentPoly(shift, [int(f) for f in quo])
+    if any(a[:top]):
+        raise _not_divisible(num, den)
+    return LaurentPoly(num.min_exp - den.min_exp, quo)
 
 
 @dataclass(init=False, frozen=True, eq=False)
@@ -443,7 +462,7 @@ class RationalFunc:
         return exact_div(self.num, self.den)
 
     def evaluate(self, q: Scalar) -> Scalar:
-        """Evaluate at a nonzero number; exact for Fraction input."""
+        """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
         return self.num.evaluate(q) / self.den.evaluate(q)
 
     def __str__(self) -> str:
@@ -463,10 +482,3 @@ def _coerce(value: RationalFunc | LaurentPoly | int):
     if isinstance(value, int):
         return RationalFunc.from_int(value)
     return NotImplemented
-
-
-def rf_sum(values: Iterable[RationalFunc]) -> RationalFunc:
-    total = RationalFunc.zero()
-    for v in values:
-        total = total + v
-    return total

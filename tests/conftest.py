@@ -3,28 +3,21 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hookalex.braid import BraidWord, closure_is_knot, parse_braid
+from hookalex.braid import BraidWord, closure_is_knot
+from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("ci")
 
-# Braid corpus for the scaling and invariance checks ("letters", strands).
+# Braid corpus for the scaling and invariance checks: the CLI's table corpus.
 # Entries whose closure is a link are filtered out at use sites.
-CORPUS = (
-    ("1 1 1", 2),
-    ("1 1 1 1 1", 2),
-    ("1 1 1 1 1 1 1", 2),
-    ("1 -2 1 -2", 3),
-    ("1 1 1 2 -1 2", 3),
-    ("1 1 -2 1 -2", 3),
-)
+CORPUS = parse_table_braids(DEFAULT_TABLE_BRAIDS)
 
 
 def corpus_knots() -> list[BraidWord]:
-    braids = [parse_braid(text, strands) for text, strands in CORPUS]
-    return [b for b in braids if closure_is_knot(b)]
+    return [b for b in CORPUS if closure_is_knot(b)]
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hookalex.braid import markov_variants, parse_braid
 from hookalex.evaluator import alexander, check_scaling
-from hookalex.laurent import LaurentPoly
+from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
                               hook_eigenvalues, symmetric_operator_numeric,
@@ -16,7 +16,7 @@ from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
                               yang_baxter_holds)
 from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, ratio_closed_form,
                             topological_factors, topological_power_sums)
-from hookalex.young import Hook, build_graph, hooks_up_to_size, partitions_of
+from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
 
 from conftest import corpus_knots, random_knot_braids
 
@@ -73,12 +73,12 @@ def test_criterion_4_yang_baxter_suite():
     failures = []
     for h in hooks_up_to_size(4):
         for strands in (3, 4):
-            graph = build_graph(h, strands)
+            graph = HookGraph(h, strands)
             for k in range(strands):
                 for i in range(1, strands - 1):
                     if not yang_baxter_holds(graph, k, i):
                         failures.append(("yb", str(h), strands, k, i))
-        graph = build_graph(h, 4)
+        graph = HookGraph(h, 4)
         for k in range(4):
             if not commutation_holds(graph, k, 1, 3):
                 failures.append(("far", str(h), k))
@@ -86,18 +86,27 @@ def test_criterion_4_yang_baxter_suite():
 
 
 def test_criterion_5_doublet_constraints():
+    # entries are numerators over b = [n]_N: trace scales by b, the quadratic
+    # invariants by b^2, and forward times inverse is b^2 times the identity
     failures = []
     for h in hooks_up_to_size(5):
         ev = hook_eigenvalues(h)
-        arm, leg = ev.arm.as_rational(), ev.leg.as_rational()
+        arm, leg = ev.arm.as_laurent(), ev.leg.as_laurent()
         for n in range(2, 9):
-            block = doublet_block(h, n)
-            if block.trace() != arm + leg:
+            b = qnum_bullet(n, h.size)
+            b2 = b * b
+            f = doublet_block(h, n, False)
+            if f.r11 + f.r22 != (arm + leg) * b:
                 failures.append(("trace", str(h), n))
-            if block.trace_of_square() != arm * arm + leg * leg:
+            if f.r11 * f.r11 + f.r22 * f.r22 + 2 * f.r12 * f.r21 != (arm * arm + leg * leg) * b2:
                 failures.append(("trace_sq", str(h), n))
-            if block.determinant() != arm * leg:
+            if f.r11 * f.r22 - f.r12 * f.r21 != arm * leg * b2:
                 failures.append(("det", str(h), n))
+            i = doublet_block(h, n, True)
+            product = (f.r11 * i.r11 + f.r12 * i.r21, f.r11 * i.r12 + f.r12 * i.r22,
+                       f.r21 * i.r11 + f.r22 * i.r21, f.r21 * i.r12 + f.r22 * i.r22)
+            if product != (b2, LaurentPoly.zero(), LaurentPoly.zero(), b2):
+                failures.append(("inverse", str(h), n))
     _report(5, "doublet closed system of equations", failures)
 
 
@@ -141,7 +150,7 @@ def test_criterion_8_gauge_independence():
     points = (Fraction(3, 2), Fraction(2), Fraction(5, 3))
     for b in braids:
         for h in hooks_up_to_size(3):
-            graph = build_graph(h, 3)
+            graph = HookGraph(h, 3)
             for q in points:
                 for k in range(3):
                     ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from hookalex.braid import BraidError
 from hookalex.cli import (DEFAULT_TABLE_BRAIDS, EXIT_CHECK_FAILED, EXIT_OK,
-                          EXIT_USAGE, main)
+                          EXIT_USAGE, main, parse_table_braids)
 from hookalex.laurent import LaurentPoly
 
 
@@ -89,6 +90,24 @@ def test_check_theorem_passes(capsys):
     assert out.startswith("PASS")
 
 
+def test_check_theorem_json_evaluates_each_polynomial_once(capsys, monkeypatch):
+    from hookalex import evaluator
+
+    calls = []
+    original = evaluator.alexander
+
+    def counted(color, b):
+        calls.append(color)
+        return original(color, b)
+
+    monkeypatch.setattr(evaluator, "alexander", counted)
+    code, out, _ = run_cli(capsys, "check-theorem", "--strands", "3", "--braid", "1 -2 1 -2",
+                           "--arm", "1", "--leg", "1", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["scaling_check"] is True
+    assert len(calls) == 2
+
+
 def test_check_yb(capsys):
     code, out, _ = run_cli(capsys, "check-yb", "--strands", "3",
                            "--arm", "1", "--leg", "0")
@@ -132,6 +151,12 @@ def test_table_bad_entry_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "table", "--braids", "1 1 1")
     assert code == EXIT_USAGE
     assert "--braids" in err
+
+
+@pytest.mark.parametrize("entry", ["1 1 1", "1 1 1@two", "1 q@2", "3@2"])
+def test_malformed_table_entry_raises_braid_error(entry):
+    with pytest.raises(BraidError, match="--braids"):
+        parse_table_braids(("1 1 1@2", entry))
 
 
 def test_internal_inconsistency_exit_code(capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hookalex.braid import NotAKnotError, markov_variants, parse_braid
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
-from hookalex.laurent import LaurentPoly, rf_sum
+from hookalex.laurent import LaurentPoly, RationalFunc
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import framing_factor
 from hookalex.young import Hook
@@ -28,6 +28,12 @@ def test_unit_normalize_rejects_nonunits():
         unit_normalize(LaurentPoly(0, (1, 1)))  # odd span
     with pytest.raises(NormalizationError):
         unit_normalize(LaurentPoly(-1, (1, 1, 1)))  # value 3 at q=1
+
+
+def test_uncenterable_message_is_bounded():
+    with pytest.raises(NormalizationError) as exc:
+        unit_normalize(LaurentPoly(0, [10 ** 30] * 1000))
+    assert len(str(exc.value)) < 300
 
 
 # -- reference values -----------------------------------------------------------------
@@ -64,9 +70,9 @@ def test_links_rejected():
 def test_contributions_reassemble_polynomial():
     res = alexander(Hook(1, 1), FIGURE8)
     assert len(res.contributions) == FIGURE8.strands
-    total = rf_sum(term for _, term in res.contributions)
-    correction = (framing_factor(Hook(1, 1)) ** (-FIGURE8.writhe)).as_rational()
-    raw = (correction * total).as_laurent()
+    total = sum((term for _, term in res.contributions), RationalFunc.zero())
+    correction = (framing_factor(Hook(1, 1)) ** (-FIGURE8.writhe)).as_laurent()
+    raw = (total * correction).as_laurent()
     assert unit_normalize(raw) == res.polynomial
 
 

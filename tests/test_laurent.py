@@ -155,6 +155,15 @@ def test_exact_div_failure():
         exact_div(Q, LaurentPoly.zero())
 
 
+def test_inexact_division_message_is_bounded():
+    num = LaurentPoly(-500, [10 ** 30 + i for i in range(1001)])
+    with pytest.raises(InexactDivisionError) as exc:
+        exact_div(num, LaurentPoly(0, (3, 1, 2)))
+    message = str(exc.value)
+    assert len(message) < 300
+    assert "-500..500" in message and "100-bit" in message
+
+
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(p, d):
     assert exact_div(p * d, d) == p
@@ -198,6 +207,13 @@ def test_rational_evaluate_exact():
     q = Fraction(3, 2)
     expected = (q ** 2 + 1 + q ** -2) / (q + 1 / q)
     assert x.evaluate(q) == expected
+
+
+def test_evaluate_int_input_is_exact():
+    value = LaurentPoly(-2, (1, 0, -1, 0, 1)).evaluate(3)
+    assert isinstance(value, Fraction) and value == Fraction(73, 9)
+    value = RationalFunc(qnum(3), qnum(2)).evaluate(2)
+    assert isinstance(value, Fraction) and value == Fraction(21, 10)
 
 
 @given(nonzero_polys)

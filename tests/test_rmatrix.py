@@ -4,121 +4,121 @@ import pytest
 
 from hookalex.laurent import LaurentPoly, RationalFunc, qnum, qnum_bullet
 from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
-                              framing_factor, hook_eigenvalues, is_identity,
-                              product_rows, symmetric_operator_numeric,
+                              framing_factor, hook_eigenvalues,
+                              product_numerators, symmetric_operator_numeric,
                               trace_product, trace_product_numeric,
                               yang_baxter_holds)
-from hookalex.young import Hook, build_graph, hooks_up_to_size
+from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-
-def mono(c, e):
-    return RationalFunc(LaurentPoly.monomial(c, e))
+mono = LaurentPoly.monomial
 
 
 # -- eigenvalues and framing ------------------------------------------------------
 
 def test_fundamental_eigenvalues():
     ev = hook_eigenvalues(Hook(0, 0))
-    assert ev.arm.as_rational() == mono(1, 1)
-    assert ev.leg.as_rational() == mono(-1, -1)
+    assert ev.arm.as_laurent() == mono(1, 1)
+    assert ev.leg.as_laurent() == mono(-1, -1)
 
 
 def test_row_hook_eigenvalues():
     ev = hook_eigenvalues(Hook(1, 0))
-    assert ev.arm.as_rational() == mono(1, 6)
-    assert ev.leg.as_rational() == mono(-1, 2)
+    assert ev.arm.as_laurent() == mono(1, 6)
+    assert ev.leg.as_laurent() == mono(-1, 2)
 
 
 def test_odd_leg_flips_signs():
     ev = hook_eigenvalues(Hook(1, 1))
-    assert ev.arm.as_rational() == mono(-1, 3)
-    assert ev.leg.as_rational() == mono(1, -3)
+    assert ev.arm.as_laurent() == mono(-1, 3)
+    assert ev.leg.as_laurent() == mono(1, -3)
 
 
 def test_framing_examples():
-    assert framing_factor(Hook(0, 0)).as_rational() == mono(1, 0)
-    assert framing_factor(Hook(1, 1)).as_rational() == mono(-1, 0)
-    assert framing_factor(Hook(1, 0)).as_rational() == mono(1, 4)
+    assert framing_factor(Hook(0, 0)).as_laurent() == mono(1, 0)
+    assert framing_factor(Hook(1, 1)).as_laurent() == mono(-1, 0)
+    assert framing_factor(Hook(1, 0)).as_laurent() == mono(1, 4)
 
 
 def test_framing_normalizes_eigenvalues():
     # dividing out the framing factor leaves the fundamental pair at q -> q^size
     for h in hooks_up_to_size(5):
         ev, phi = hook_eigenvalues(h), framing_factor(h)
-        assert (ev.arm * phi.inverse()).as_rational() == mono(1, h.size)
-        assert (ev.leg * phi.inverse()).as_rational() == mono(-1, -h.size)
+        assert (ev.arm * phi.inverse()).as_laurent() == mono(1, h.size)
+        assert (ev.leg * phi.inverse()).as_laurent() == mono(-1, -h.size)
 
 
 # -- doublet blocks -----------------------------------------------------------------
 
+# entries are numerators over [n]_N, so each identity carries its power of [n]_N
+
 def test_first_doublet_fundamental():
-    b = doublet_block(Hook(0, 0), 2)
-    two = RationalFunc(qnum(2))
-    assert b.r11 == mono(-1, -2) / two
-    assert b.r22 == mono(1, 2) / two
-    assert b.r12 * b.r21 == RationalFunc(qnum(3)) / (two * two)
+    b = doublet_block(Hook(0, 0), 2, False)
+    assert b.r11 == mono(-1, -2)
+    assert b.r22 == mono(1, 2)
+    assert b.r12 * b.r21 == qnum(3)
 
 
 def test_first_doublet_odd_leg():
-    b = doublet_block(Hook(1, 1), 2)
-    bullet = RationalFunc(qnum_bullet(2, 3))
-    assert b.r11 == mono(1, -6) / bullet
-    assert b.r22 == mono(-1, 6) / bullet
+    b = doublet_block(Hook(1, 1), 2, False)
+    assert b.r11 == mono(1, -6)
+    assert b.r22 == mono(-1, 6)
 
 
 def test_doublet_rejects_level_one():
     with pytest.raises(ValueError):
-        doublet_block(Hook(0, 0), 1)
+        doublet_block(Hook(0, 0), 1, False)
 
 
 @pytest.mark.parametrize("h", [Hook(0, 0), Hook(2, 0), Hook(1, 2)])
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_doublet_eigenvalue_constraints(h, n):
     # trace and determinant force the eigenvalue set {arm, leg}
-    b = doublet_block(h, n)
+    b = doublet_block(h, n, False)
+    bullet = qnum_bullet(n, h.size)
     ev = hook_eigenvalues(h)
-    arm, leg = ev.arm.as_rational(), ev.leg.as_rational()
-    assert b.trace() == arm + leg
-    assert b.determinant() == arm * leg
-    assert b.trace_of_square() == arm * arm + leg * leg
+    arm, leg = ev.arm.as_laurent(), ev.leg.as_laurent()
+    assert b.r11 + b.r22 == (arm + leg) * bullet
+    assert b.r11 * b.r22 - b.r12 * b.r21 == arm * leg * bullet * bullet
+    assert b.r11 * b.r11 + b.r22 * b.r22 + 2 * b.r12 * b.r21 == \
+        (arm * arm + leg * leg) * bullet * bullet
 
 
 def test_doublet_cache_reuses_instances():
-    assert doublet_block(Hook(1, 0), 3) is doublet_block(Hook(1, 0), 3)
+    assert doublet_block(Hook(1, 0), 3, False) is doublet_block(Hook(1, 0), 3, False)
 
 
 # -- operator assembly ----------------------------------------------------------------
 
 def test_two_strand_operators_are_singlets():
-    g = build_graph(Hook(0, 0), 2)
+    g = HookGraph(Hook(0, 0), 2)
     ev = hook_eigenvalues(Hook(0, 0))
     for k, expected in ((0, ev.arm), (1, ev.leg)):
         op = assemble_R(g, k, 1)
         assert op.dim == 1
         assert op.doublets == ()
-        assert op.singlets[0][1] == expected.as_rational()
+        assert op.singlets[0][1] == expected
 
 
 def test_three_strand_middle_vertex_is_one_doublet():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     op = assemble_R(g, 1, 2)
     assert op.dim == 2
     assert op.singlets == ()
     ((pair, block),) = op.doublets
     assert pair == (0, 1)  # paths "01", "10" in lexicographic order
-    assert block is doublet_block(Hook(0, 0), 2)
+    assert block is doublet_block(Hook(0, 0), 2, False)
 
 
 def test_three_strand_corner_vertex_is_singlet():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     assert g.vertex(3, 0) == Hook(2, 0)
     op = assemble_R(g, 0, 1)
     assert op.dim == 1 and op.doublets == ()
-    assert op.singlets[0][1] == hook_eigenvalues(Hook(0, 0)).arm.as_rational()
+    assert op.singlets[0][1] == hook_eigenvalues(Hook(0, 0)).arm
 
 
 def test_every_index_covered_exactly_once():
-    g = build_graph(Hook(1, 1), 4)
+    g = HookGraph(Hook(1, 1), 4)
     for k in range(4):
         for i in range(1, 4):
             op = assemble_R(g, k, i)
@@ -128,7 +128,7 @@ def test_every_index_covered_exactly_once():
 
 
 def test_assemble_rejects_bad_crossing_index():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     with pytest.raises(ValueError):
         assemble_R(g, 0, 3)
     with pytest.raises(ValueError):
@@ -138,19 +138,19 @@ def test_assemble_rejects_bad_crossing_index():
 # -- traces ------------------------------------------------------------------------------
 
 def test_trace_of_single_operator():
-    g = build_graph(Hook(1, 0), 2)
+    g = HookGraph(Hook(1, 0), 2)
     assert trace_product([assemble_R(g, 0, 1)]) == \
-        hook_eigenvalues(Hook(1, 0)).arm.as_rational()
+        hook_eigenvalues(Hook(1, 0)).arm.as_laurent()
 
 
 def test_trace_of_inverse_pair_counts_paths():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     ops = [assemble_R(g, 1, 2, False), assemble_R(g, 1, 2, True)]
     assert trace_product(ops) == RationalFunc.from_int(2)
 
 
 def test_trace_dimension_mismatch():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     with pytest.raises(ValueError):
         trace_product([assemble_R(g, 0, 1), assemble_R(g, 1, 1)])
 
@@ -159,28 +159,32 @@ def test_trace_dimension_mismatch():
 
 def test_yang_baxter_spot_checks():
     for h in (Hook(0, 0), Hook(1, 1), Hook(2, 1)):
-        g = build_graph(h, 3)
+        g = HookGraph(h, 3)
         for k in range(3):
             assert yang_baxter_holds(g, k, 1)
 
 
 def test_far_commutativity_spot_check():
-    g = build_graph(Hook(1, 0), 4)
+    g = HookGraph(Hook(1, 0), 4)
     for k in range(4):
         assert commutation_holds(g, k, 1, 3)
 
 
 def test_inverse_gives_identity():
-    g = build_graph(Hook(1, 1), 4)
+    g = HookGraph(Hook(1, 1), 4)
     for k in range(4):
         for i in range(1, 4):
-            rows = product_rows([assemble_R(g, k, i, False), assemble_R(g, k, i, True)])
-            assert is_identity(rows)
+            rows, den = product_numerators([assemble_R(g, k, i, False),
+                                            assemble_R(g, k, i, True)])
+            zero = LaurentPoly.zero()
+            for r, row in enumerate(rows):
+                for c in set(row) | {r}:
+                    assert row.get(c, zero) == (den if c == r else zero)
 
 
 def test_rational_gauge_matches_symmetric_floats():
     # one spot check; the acceptance suite sweeps the corpus
-    g = build_graph(Hook(1, 0), 3)
+    g = HookGraph(Hook(1, 0), 3)
     letters = [1, -2, 1, -2]
     q = Fraction(3, 2)
     for k in range(3):

@@ -1,8 +1,7 @@
 import pytest
 
-from hookalex.young import (Hook, Partition, build_graph, enumerate_paths,
-                            hook_tensor_onehook, hooks_up_to_size,
-                            partition_stats, partitions_of)
+from hookalex.young import (Hook, HookGraph, Partition, enumerate_paths,
+                            hook_tensor_onehook, hooks_up_to_size, partitions_of)
 
 
 # -- hooks and tensor rule -------------------------------------------------------
@@ -33,18 +32,18 @@ def test_tensor_with_single_box():
 # -- the layered graph -------------------------------------------------------------
 
 def test_graph_levels_closed_form():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     assert g.level(3) == (Hook(2, 0), Hook(1, 1), Hook(0, 2))
-    g = build_graph(Hook(1, 1), 2)
+    g = HookGraph(Hook(1, 1), 2)
     assert g.level(2) == (Hook(3, 2), Hook(2, 3))
     for base in (Hook(0, 0), Hook(2, 1)):
-        assert build_graph(base, 5).level(1) == (base,)
+        assert HookGraph(base, 5).level(1) == (base,)
 
 
 def test_graph_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_graph(Hook(0, 0), 0)
-    g = build_graph(Hook(0, 0), 3)
+        HookGraph(Hook(0, 0), 0)
+    g = HookGraph(Hook(0, 0), 3)
     with pytest.raises(ValueError):
         g.vertex(4, 0)
     with pytest.raises(ValueError):
@@ -55,43 +54,43 @@ def test_graph_rejects_bad_input():
 def test_graph_consistent_with_tensor_rule(base):
     # structural induction: the closed form agrees with repeated tensoring
     levels = 12
-    g = build_graph(base, levels)
+    g = HookGraph(base, levels)
     for n in range(1, levels + 1):
         for k, v in enumerate(g.level(n)):
             assert v.size == n * base.size
             if n < levels:
                 arm, leg = hook_tensor_onehook(v, base)
-                assert arm == g.arm_child(n, k)
-                assert leg == g.leg_child(n, k)
+                assert arm == g.vertex(n + 1, k)
+                assert leg == g.vertex(n + 1, k + 1)
 
 
 # -- paths ----------------------------------------------------------------------------
 
 def test_single_path():
-    g = build_graph(Hook(0, 0), 2)
+    g = HookGraph(Hook(0, 0), 2)
     assert [str(p) for p in enumerate_paths(g, 0)] == ["0"]
 
 
 def test_two_paths_to_middle_vertex():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     assert g.vertex(3, 1) == Hook(1, 1)
     assert [str(p) for p in enumerate_paths(g, 1)] == ["01", "10"]
 
 
 def test_path_count_binomial():
-    g = build_graph(Hook(0, 0), 5)
+    g = HookGraph(Hook(0, 0), 5)
     assert len(enumerate_paths(g, 2)) == 6
 
 
 def test_paths_lexicographic():
-    g = build_graph(Hook(1, 0), 5)
+    g = HookGraph(Hook(1, 0), 5)
     for k in range(5):
         strings = [str(p) for p in enumerate_paths(g, k)]
         assert strings == sorted(strings)
 
 
 def test_path_out_of_range():
-    g = build_graph(Hook(0, 0), 3)
+    g = HookGraph(Hook(0, 0), 3)
     with pytest.raises(ValueError):
         enumerate_paths(g, 3)
     with pytest.raises(ValueError):
@@ -101,8 +100,8 @@ def test_path_out_of_range():
 def test_path_counts_pascal_recurrence():
     base = Hook(1, 1)
     for levels in range(2, 9):
-        big = build_graph(base, levels + 1)
-        small = build_graph(base, levels)
+        big = HookGraph(base, levels + 1)
+        small = HookGraph(base, levels)
         for k in range(levels + 1):
             above = len(enumerate_paths(big, k))
             left = len(enumerate_paths(small, k)) if k <= levels - 1 else 0
@@ -112,13 +111,13 @@ def test_path_counts_pascal_recurrence():
 
 def test_path_vertices_follow_tensor_rule():
     base = Hook(2, 1)
-    g = build_graph(base, 5)
+    g = HookGraph(base, 5)
     for k in range(5):
         for p in enumerate_paths(g, k):
             walked = base
-            for step, expected in zip(p.choices, p.vertices(g)[1:]):
+            for n, step in enumerate(p.choices, start=2):
                 walked = hook_tensor_onehook(walked, base)[step]
-                assert walked == expected
+                assert walked == g.vertex(n, p.vertex_index(n))
             assert walked == g.vertex(5, k)
 
 
@@ -132,25 +131,25 @@ def test_partition_validation():
 
 
 def test_partition_stats_single_box():
-    s = partition_stats(Partition((1,)))
-    assert s.diagonal_length == 1
-    assert s.contents == (0,)
-    assert s.hook_lengths == (1,)
+    p = Partition((1,))
+    assert p.diagonal_length == 1
+    assert p.contents() == (0,)
+    assert p.hook_lengths() == (1,)
 
 
 def test_partition_stats_square():
-    s = partition_stats(Partition((2, 2)))
-    assert s.diagonal_length == 2
-    assert s.contents == (0, 1, -1, 0)
-    assert s.hook_lengths == (3, 2, 2, 1)
+    p = Partition((2, 2))
+    assert p.diagonal_length == 2
+    assert p.contents() == (0, 1, -1, 0)
+    assert p.hook_lengths() == (3, 2, 2, 1)
 
 
 def test_hook_corner_hook_length_is_size():
     for h in hooks_up_to_size(6):
-        stats = partition_stats(h.as_partition())
-        assert stats.hook_lengths[0] == h.size
-        assert stats.hook_lengths.count(h.size) == 1
-        assert stats.diagonal_length == 1
+        p = h.as_partition()
+        assert p.hook_lengths()[0] == h.size
+        assert p.hook_lengths().count(h.size) == 1
+        assert p.diagonal_length == 1
 
 
 def test_hook_partition_roundtrip():
