@@ -194,6 +194,8 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
 
 
 def _run_table(cfg: RunConfig, out) -> int:
+    if cfg.max_hook_size < 1:
+        raise BraidError(f"--max-hook-size: must be at least 1, got {cfg.max_hook_size}")
     all_ok = True
     for b in parse_table_braids(cfg.table_braids):
         if not closure_is_knot(b):

@@ -1,28 +1,35 @@
 """Colored Alexander polynomials of knot closures via quantum traces.
 
-For a braid on ``m`` strands colored by a hook, the invariant is assembled as
+For a braid on ``m`` strands colored by a hook of size ``N``, the invariant is
+assembled as
 
     phi^(-writhe) * sum over top-level vertices mu of
-        ratio_at_A1(color, mu) * trace of the braid's crossing operators
-                                 on mu's path basis
+        (+-1 / [m]_N) * trace of the braid's crossing operators on mu's path basis
 
-with ``phi`` the per-crossing framing factor.  The sum is a rational function
-that always divides out to an integer Laurent polynomial; a failure to divide
-is an internal inconsistency, never user error.  The polynomial is finally
-normalized by the unit ``+-q^j`` that centers its exponent range and makes its
-value at q = 1 equal to +1 (the invariant is classically defined only up to
-such units, and the strict framing correction leaves a residual sign
-(-1)^(leg * writhe) which this absorbs).
+with ``phi`` the per-crossing framing factor, ``+-1 / [m]_N`` the closed-form
+quantum-dimension weight (:func:`hookalex.schur.hook_weight`) and ``[i]_N``
+the q-number at q -> q^N.  Each trace is an integer numerator over a product
+of bullet q-numbers ``[i]_N``, one per operator with a doublet, so every term
+of the sum has a denominator known as a multiset of bullet levels.  The terms
+are lifted to the per-level maximum of those multisets and added as integer
+Laurent polynomials; a single exact division by that common denominator
+finishes the sum.  It always divides out to an integer Laurent polynomial; a
+failure to divide is an internal inconsistency, never user error.  The
+polynomial is finally normalized by the unit ``+-q^j`` that centers its
+exponent range and makes its value at q = 1 equal to +1 (the invariant is
+classically defined only up to such units, and the strict framing correction
+leaves a residual sign (-1)^(leg * writhe) which this absorbs).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
-from .laurent import LaurentPoly, RationalFunc
+from .laurent import LaurentPoly, exact_div, qnum_bullet
 from .rmatrix import assemble_R, framing_factor, trace_product
-from .schur import ratio_at_A1
+from .schur import hook_weight
 from .young import Hook, HookGraph
 
 
@@ -48,12 +55,28 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class AlexanderResult:
-    """A colored Alexander polynomial plus its per-vertex trace contributions."""
+    """A colored Alexander polynomial plus its per-vertex trace contributions.
+
+    Each contribution is one top-level vertex's weighted trace as an integer
+    numerator over the shared ``denominator``.  Their sum divided by it, times
+    the framing correction, is the polynomial before unit normalization.
+    """
 
     polynomial: LaurentPoly
     hook: Hook
     braid: BraidWord
-    contributions: tuple[tuple[Hook, RationalFunc], ...]
+    contributions: tuple[tuple[Hook, LaurentPoly], ...]
+    denominator: LaurentPoly
+
+
+def _bullet_product(levels: Counter, size: int) -> LaurentPoly:
+    """The product of ``[i]_size ** levels[i]`` over the levels."""
+    p = LaurentPoly.one()
+    for i, count in levels.items():
+        bullet = qnum_bullet(i, size)
+        for _ in range(count):
+            p = bullet * p
+    return p
 
 
 def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
@@ -66,18 +89,33 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
         raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
     m = b.strands
     graph = HookGraph(color, m)
-    contributions = []
-    total = RationalFunc.zero()
+    terms = []
     for k in range(m):
         vertex = graph.vertex(m, k)
-        weight = ratio_at_A1(color, vertex.as_partition())
+        sign, _ = hook_weight(color, vertex)  # the weight is sign / [m]_N at every vertex
         ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]
-        term = weight * trace_product(ops)
-        contributions.append((vertex, term))
-        total = total + term
-    correction = (framing_factor(color) ** (-b.writhe)).as_laurent()
-    poly = (total * correction).as_laurent()
-    return AlexanderResult(unit_normalize(poly), color, b, tuple(contributions))
+        # the trace's denominator is the product of op.den = [|g|]_N over doublet operators
+        levels = Counter(abs(g) for g, op in zip(b.letters, ops) if op.doublets)
+        terms.append((vertex, sign, trace_product(ops).num, levels))
+    common: Counter = Counter()
+    for *_, levels in terms:
+        common |= levels
+    # vertices with equal deficits (the two singlet-only end vertices) share one product
+    products: dict[frozenset, LaurentPoly] = {}
+
+    def lift(deficit: Counter) -> LaurentPoly:
+        key = frozenset(deficit.items())
+        if key not in products:
+            products[key] = _bullet_product(deficit, color.size)
+        return products[key]
+
+    contributions = tuple((vertex, lift(common - levels) * num * sign)
+                          for vertex, sign, num, levels in terms)
+    total = sum((num for _, num in contributions), LaurentPoly.zero())
+    denominator = qnum_bullet(m, color.size) * lift(common)
+    correction = framing_factor(color) ** (-b.writhe)
+    poly = exact_div(total, denominator).shift(correction.exponent) * correction.sign
+    return AlexanderResult(unit_normalize(poly), color, b, contributions, denominator)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Exact arithmetic for integer Laurent polynomials and rational functions in q.
 
 `LaurentPoly` is the universal value type of the engine: every knot invariant
-it produces is an honest Laurent polynomial with integer coefficients.
-`RationalFunc` is the intermediate field used while summing traces; the final
-result is always extracted back into the polynomial ring with `exact_div`,
-which fails loudly if the division is not exact.
+it produces is an honest Laurent polynomial with integer coefficients, and
+every intermediate value is one too.  The evaluator's single division of the
+vertex sum by its factored denominator goes through `exact_div`, which fails
+loudly if the division is not exact.  `RationalFunc` serves only the Schur
+oracle (quantum-dimension ratios and the Jacobi-Trudi determinant).
 """
 
 from __future__ import annotations

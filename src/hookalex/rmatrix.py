@@ -21,6 +21,10 @@ Since ``[n].^2 - [n+1].[n-1]. = 1``, the determinant is the monomial -q^(2K),
 the product of the two eigenvalues, and the inverse doublet has the same
 closed form with K -> -K and nN -> -nN.
 
+A trace of a product is therefore an integer numerator over the product of
+the operators' bullet q-numbers; the evaluator sums such traces over their
+factored denominators and divides once.
+
 The symmetric form splits ``r12 * r21`` into two equal square roots, which
 would leave the rational field.  Every closed trace uses upper and lower
 entries in equal numbers at each level, so we keep the rational gauge above
@@ -34,9 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .laurent import LaurentPoly, RationalFunc, qnum_bullet
+from .laurent import LaurentPoly, qnum_bullet
 from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it here)
 from .young import Hook, HookGraph, Path, enumerate_paths
 
@@ -65,7 +69,8 @@ class SignedMonomial:
         return SignedMonomial(self.sign if n % 2 else 1, self.exponent * n)
 
     def evaluate(self, q):
-        return self.sign * q ** self.exponent
+        """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
+        return self.as_laurent().evaluate(q)
 
     def __str__(self) -> str:
         return str(self.as_laurent())
@@ -121,7 +126,13 @@ class DoubletBlock:
     r22: LaurentPoly
 
 
-@lru_cache(maxsize=None)
+# Entries held by each operator cache.  The widest benchmark workload (4-strand
+# knots, six hooks) keeps 144 operators live, so this bound never evicts there
+# while still capping memory on long runs over many graphs.
+OPERATOR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def doublet_block(h: Hook, n: int, inverse: bool) -> DoubletBlock:
     """The level-``n`` doublet for base hook ``h`` as numerators over ``[n]_N`` (n >= 2).
 
@@ -182,7 +193,7 @@ def _classify(path: Path, i: int) -> tuple[int, int] | int:
     return path.choices[i - 2], path.choices[i - 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -> BlockOperator:
     """The crossing operator for strands ``(i, i+1)`` on the target's path basis.
 
@@ -216,7 +227,7 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # -- exact products and traces ------------------------------------------------
 #
 # Products are carried as sparse integer-polynomial numerator matrices over a
-# single running denominator; only the final trace becomes a rational function.
+# single running denominator, the product of the operators' ``den``.
 
 
 def _mul_num_rows(a: NumeratorRows, b: NumeratorRows) -> NumeratorRows:
@@ -245,7 +256,14 @@ def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, Lau
     return rows, den
 
 
-def trace_product(ops: Sequence[BlockOperator]) -> RationalFunc:
+class Trace(NamedTuple):
+    """An exact trace: integer numerator ``num`` over the product ``den`` of operator ``den``s."""
+
+    num: LaurentPoly
+    den: LaurentPoly
+
+
+def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     """Exact trace of the ordered product of block operators on one path basis."""
     rows, den = product_numerators(ops)
     total = LaurentPoly.zero()
@@ -253,7 +271,7 @@ def trace_product(ops: Sequence[BlockOperator]) -> RationalFunc:
         v = row.get(i)
         if v is not None:
             total = total + v
-    return RationalFunc(total, den)
+    return Trace(total, den)
 
 
 def _same_quotient(ra: NumeratorRows, da: LaurentPoly,

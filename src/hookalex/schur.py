@@ -10,9 +10,12 @@ factors and evaluating what survives.
 
 For a one-hook color ``(a, l)`` against a one-hook summand ``(r, s)`` of its
 m-th tensor power the surviving ratio is ``(-1)^(l+s) [N] / [mN]`` with
-``N = a + l + 1``; any summand with diagonal length two or more contributes
-zero.  The Jacobi-Trudi determinant over complete homogeneous functions built
-from the power sums serves as an independent oracle for the factor lists.
+``N = a + l + 1``, which is ``(-1)^(l+s) / [m]_N`` since ``[mN]/[N] = [m]_N``
+(the q-number at q -> q^N); any summand with diagonal length two or more
+contributes zero.  The evaluator takes its weights from that closed form
+(:func:`hook_weight`); the factor lists, and the Jacobi-Trudi determinant over
+complete homogeneous functions built from the power sums, are the independent
+oracle for it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, RationalFunc, qnum
+from .laurent import LaurentPoly, RationalFunc, qnum_bullet
 from .young import Hook, Partition
 
 
@@ -61,7 +64,7 @@ def ratio_at_A1(color: Hook, mu: Partition) -> RationalFunc:
     diagonal length > 1; for one-hook ``mu`` the single vanishing factor of
     each side cancels and the rest evaluates at A = 1.
 
-    >>> ratio_at_A1(Hook(0, 0), Partition((2, 1, 1))) == RationalFunc(qnum(1), qnum(4))
+    >>> ratio_at_A1(Hook(0, 0), Partition((2, 1, 1))) == ratio_closed_form(Hook(0, 0), Hook(1, 2))
     True
     """
     if mu.size % color.size != 0 or mu.size < color.size:
@@ -83,11 +86,24 @@ def ratio_at_A1(color: Hook, mu: Partition) -> RationalFunc:
     return RationalFunc(num, den)
 
 
+def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
+    """The A -> 1 weight of summand ``mu`` of a power of ``color`` as ``(sign, m)``.
+
+    The weight is ``sign / [m]_N``: ``sign = (-1)^(l+s)`` and ``m = |mu| / N``.
+
+    >>> hook_weight(Hook(1, 0), Hook(2, 3))
+    (-1, 3)
+    """
+    m, rest = divmod(mu.size, color.size)
+    if rest or m < 1:
+        raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
+    return (-1 if (color.leg + mu.leg) % 2 else 1), m
+
+
 def ratio_closed_form(color: Hook, mu: Hook) -> RationalFunc:
-    """The same ratio from the closed form (-1)^(l+s) [N]/[mN]; test reference."""
-    m = mu.size // color.size
-    sign = -1 if (color.leg + mu.leg) % 2 else 1
-    return RationalFunc(qnum(color.size) * sign, qnum(m * color.size))
+    """The same ratio from the closed form :func:`hook_weight` as a rational function."""
+    sign, m = hook_weight(color, mu)
+    return RationalFunc(LaurentPoly.constant(sign), qnum_bullet(m, color.size))
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,8 @@ def test_criterion_8_gauge_independence():
             for q in points:
                 for k in range(3):
                     ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]
-                    exact = float(trace_product(ops).evaluate(q))
+                    t = trace_product(ops)
+                    exact = float(t.num.evaluate(q) / t.den.evaluate(q))
                     mats = [symmetric_operator_numeric(graph, k, abs(g), float(q), g < 0)
                             for g in b.letters]
                     numeric = trace_product_numeric(mats)

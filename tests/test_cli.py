@@ -153,6 +153,14 @@ def test_table_bad_entry_is_usage_error(capsys):
     assert "--braids" in err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_table_hook_size_below_one_is_usage_error(capsys, size):
+    code, out, err = run_cli(capsys, "table", "--braids", "1 1 1@2", "--max-hook-size", size)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and "--max-hook-size" in err
+
+
 @pytest.mark.parametrize("entry", ["1 1 1", "1 1 1@two", "1 q@2", "3@2"])
 def test_malformed_table_entry_raises_braid_error(entry):
     with pytest.raises(BraidError, match="--braids"):

@@ -3,7 +3,7 @@ import pytest
 from hookalex.braid import NotAKnotError, markov_variants, parse_braid
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
-from hookalex.laurent import LaurentPoly, RationalFunc
+from hookalex.laurent import LaurentPoly, RationalFunc, exact_div
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import framing_factor
 from hookalex.young import Hook
@@ -70,10 +70,20 @@ def test_links_rejected():
 def test_contributions_reassemble_polynomial():
     res = alexander(Hook(1, 1), FIGURE8)
     assert len(res.contributions) == FIGURE8.strands
-    total = sum((term for _, term in res.contributions), RationalFunc.zero())
+    total = sum((num for _, num in res.contributions), LaurentPoly.zero())
     correction = (framing_factor(Hook(1, 1)) ** (-FIGURE8.writhe)).as_laurent()
-    raw = (total * correction).as_laurent()
+    raw = exact_div(total, res.denominator) * correction
     assert unit_normalize(raw) == res.polynomial
+
+
+def test_vertex_sum_constructs_no_rational_function(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("RationalFunc constructed on the evaluation path")
+
+    b = parse_braid("1 -2 3 -2 1 2 -3", 4)
+    expected = alexander(Hook(0, 0), b).polynomial.substitute_power(4)
+    monkeypatch.setattr(RationalFunc, "__init__", refuse)
+    assert alexander(Hook(2, 1), b).polynomial == expected
 
 
 def test_value_at_one_is_one(knots):
@@ -105,6 +115,63 @@ def test_scaling_fundamental_is_tautology(knots):
 
 def test_scaling_figure8_large_hook():
     assert check_scaling(Hook(2, 1), FIGURE8).equal
+
+
+# -- torus knots: a closed form independent of the engine ------------------------------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div(num, den):
+    """Exact quotient of ascending integer coefficient lists, ``den`` monic."""
+    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quo))):
+        quo[i] = rem[i + len(den) - 1]
+        for j, d in enumerate(den):
+            rem[i + j] -= quo[i] * d
+    assert not any(rem)
+    return quo
+
+
+def _t_power_minus_one(n):
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def torus_closed_form(p, r, size):
+    """``(t^pr - 1)(t - 1) / ((t^p - 1)(t^r - 1))`` at ``t = q^(2 size)``, unit-normalized.
+
+    Returned as ``(min_exp, coeffs)`` with ``coeffs`` ascending from ``q^min_exp``.
+    """
+    delta = _poly_div(_poly_mul(_t_power_minus_one(p * r), _t_power_minus_one(1)),
+                      _poly_mul(_t_power_minus_one(p), _t_power_minus_one(r)))
+    while delta[-1] == 0:
+        delta.pop()
+    sign = 1 if sum(delta) > 0 else -1
+    assert sum(delta) == sign
+    step = 2 * size
+    coeffs = [0] * ((len(delta) - 1) * step + 1)
+    coeffs[::step] = [sign * c for c in delta]
+    return -((len(coeffs) - 1) // 2), coeffs
+
+
+def torus_braid(p, r):
+    """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r`` on ``p`` strands."""
+    return parse_braid(" ".join(str(i) for _ in range(r) for i in range(1, p)), p)
+
+
+@pytest.mark.parametrize("p,r,hook", [(2, 3, Hook(1, 0)), (2, 5, Hook(0, 1)), (2, 7, Hook(1, 1)),
+                                      (3, 4, Hook(2, 0)), (3, 5, Hook(0, 2)),
+                                      (4, 5, Hook(1, 0))])
+def test_torus_knots_match_closed_form(p, r, hook):
+    b = torus_braid(p, r)
+    for h in (Hook(0, 0), hook):
+        poly = alexander(h, b).polynomial
+        assert (poly.min_exp, list(poly.coeffs)) == torus_closed_form(p, r, h.size), (p, r, h)
 
 
 # -- topological invariance ---------------------------------------------------------------------

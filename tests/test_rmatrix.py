@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from hookalex.laurent import LaurentPoly, RationalFunc, qnum, qnum_bullet
-from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
+from hookalex.laurent import LaurentPoly, qnum, qnum_bullet
+from hookalex.rmatrix import (SignedMonomial, assemble_R, commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
                               product_numerators, symmetric_operator_numeric,
                               trace_product, trace_product_numeric,
@@ -45,6 +45,13 @@ def test_framing_normalizes_eigenvalues():
         ev, phi = hook_eigenvalues(h), framing_factor(h)
         assert (ev.arm * phi.inverse()).as_laurent() == mono(1, h.size)
         assert (ev.leg * phi.inverse()).as_laurent() == mono(-1, -h.size)
+
+
+def test_signed_monomial_evaluate_int_input_is_exact():
+    value = SignedMonomial(1, -2).evaluate(3)
+    assert isinstance(value, Fraction) and value == Fraction(1, 9)
+    assert SignedMonomial(-1, 3).evaluate(2) == -8
+    assert SignedMonomial(-1, -1).evaluate(Fraction(2, 3)) == Fraction(-3, 2)
 
 
 # -- doublet blocks -----------------------------------------------------------------
@@ -135,18 +142,27 @@ def test_assemble_rejects_bad_crossing_index():
         assemble_R(g, 0, 0)
 
 
+def test_operator_caches_are_bounded():
+    # 144 operators stay live over the widest benchmark workload; none may be evicted
+    for cached in (assemble_R, doublet_block):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 144
+
+
 # -- traces ------------------------------------------------------------------------------
 
 def test_trace_of_single_operator():
     g = HookGraph(Hook(1, 0), 2)
-    assert trace_product([assemble_R(g, 0, 1)]) == \
-        hook_eigenvalues(Hook(1, 0)).arm.as_laurent()
+    t = trace_product([assemble_R(g, 0, 1)])
+    assert t.num == hook_eigenvalues(Hook(1, 0)).arm.as_laurent() * t.den
 
 
 def test_trace_of_inverse_pair_counts_paths():
     g = HookGraph(Hook(0, 0), 3)
     ops = [assemble_R(g, 1, 2, False), assemble_R(g, 1, 2, True)]
-    assert trace_product(ops) == RationalFunc.from_int(2)
+    t = trace_product(ops)
+    assert t.num == 2 * t.den
+    assert t.den == qnum_bullet(2, 1) * qnum_bullet(2, 1)
 
 
 def test_trace_dimension_mismatch():
@@ -189,6 +205,7 @@ def test_rational_gauge_matches_symmetric_floats():
     q = Fraction(3, 2)
     for k in range(3):
         ops = [assemble_R(g, k, abs(l), l < 0) for l in letters]
-        exact = float(trace_product(ops).evaluate(q))
+        t = trace_product(ops)
+        exact = float(t.num.evaluate(q) / t.den.evaluate(q))
         mats = [symmetric_operator_numeric(g, k, abs(l), float(q), l < 0) for l in letters]
         assert abs(exact - trace_product_numeric(mats)) <= 1e-9 * max(1.0, abs(exact))
