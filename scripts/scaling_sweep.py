@@ -21,6 +21,8 @@ def main() -> int:
     ap.add_argument("--braids", default=";".join(DEFAULT_TABLE_BRAIDS),
                     help="semicolon-separated 'letters@strands' entries")
     args = ap.parse_args()
+    if args.max_hook_size < 1:
+        ap.error(f"--max-hook-size: must be at least 1, got {args.max_hook_size}")
 
     try:
         parsed = parse_table_braids(tuple(s for s in args.braids.split(";") if s.strip()))
@@ -32,6 +34,8 @@ def main() -> int:
             braids.append(b)
         else:
             print(f"# skipping link: '{b}' @ {b.strands}")
+    if not braids:
+        ap.error("--braids: no entry closes to a knot")
 
     failures = 0
     for b in braids:

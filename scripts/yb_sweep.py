@@ -19,6 +19,10 @@ def main() -> int:
     ap.add_argument("--max-hook-size", type=int, default=5)
     ap.add_argument("--max-strands", type=int, default=5)
     args = ap.parse_args()
+    if args.max_hook_size < 1:
+        ap.error(f"--max-hook-size: must be at least 1, got {args.max_hook_size}")
+    if args.max_strands < 3:
+        ap.error(f"--max-strands: Yang-Baxter needs at least 3 strands, got {args.max_strands}")
 
     checks = failures = 0
     t0 = time.perf_counter()

@@ -196,10 +196,11 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
 def _run_table(cfg: RunConfig, out) -> int:
     if cfg.max_hook_size < 1:
         raise BraidError(f"--max-hook-size: must be at least 1, got {cfg.max_hook_size}")
+    knots = [b for b in parse_table_braids(cfg.table_braids) if closure_is_knot(b)]
+    if not knots:
+        raise BraidError("--braids: no entry closes to a knot")
     all_ok = True
-    for b in parse_table_braids(cfg.table_braids):
-        if not closure_is_knot(b):
-            continue
+    for b in knots:
         for color in hooks_up_to_size(cfg.max_hook_size):
             rec = record_for(check_scaling(color, b))
             all_ok = all_ok and rec["scaling_check"]

@@ -4,8 +4,11 @@
 it produces is an honest Laurent polynomial with integer coefficients, and
 every intermediate value is one too.  The evaluator's single division of the
 vertex sum by its factored denominator goes through `exact_div`, which fails
-loudly if the division is not exact.  `RationalFunc` serves only the Schur
-oracle (quantum-dimension ratios and the Jacobi-Trudi determinant).
+loudly if the division is not exact.  `pack` and `unpack` map a polynomial to
+its value at q = 2**width and back (Kronecker substitution); the operator
+product runs on such packed ints and decodes its result once.  `RationalFunc`
+serves only the Schur oracle (quantum-dimension ratios and the Jacobi-Trudi
+determinant).
 """
 
 from __future__ import annotations
@@ -312,6 +315,50 @@ def qnum_bullet(n: int, base: int) -> LaurentPoly:
     if base < 1:
         raise ValueError(f"substitution power must be >= 1, got {base}")
     return qnum(n).substitute_power(base)
+
+
+# -- Kronecker substitution ------------------------------------------------------
+#
+# Evaluating at q = 2**width maps Z[q] into Z as a ring homomorphism, so sums
+# and products of packed polynomials are plain int sums and products.  The
+# image is decodable when every coefficient of the result is below
+# 2**(width - 1) in absolute value: the coefficients are then its balanced
+# base-2**width digits.
+
+def pack(p: LaurentPoly, width: int) -> int:
+    """The value of ``q**-p.min_exp * p`` at ``q = 2**width``.
+
+    >>> pack(LaurentPoly(-1, (3, 0, -1)), 8) == 3 - 2**16
+    True
+    """
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc << width) + c
+    return acc
+
+
+def unpack(value: int, width: int, min_exp: int) -> LaurentPoly:
+    """The polynomial ``q**min_exp * p`` whose ``pack`` at ``width`` is ``value``.
+
+    Exact when ``width`` is a multiple of 8 and every coefficient of ``p`` is
+    below ``2**(width - 1)`` in absolute value: adding ``2**(width - 1)`` to
+    every digit makes all digits positive with no carries, so one
+    ``to_bytes`` pass reads them off.  The digit count follows from the bit
+    length, since a top digit ``c != 0`` puts ``|value|`` in
+    ``[2**(width*(n-1) - 1), 2**(width*n - 1))``.
+
+    >>> unpack(pack(LaurentPoly(-1, (3, 0, -1)), 8), 8, -1)
+    LaurentPoly('-q + 3q^-1')
+    """
+    if not value:
+        return LaurentPoly.zero()
+    size = width // 8
+    count = abs(value).bit_length() // width + 1
+    half = 1 << (width - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = (value + bias).to_bytes(count * size, "little")
+    return LaurentPoly(min_exp, [int.from_bytes(raw[i:i + size], "little") - half
+                                 for i in range(0, count * size, size)])
 
 
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> InexactDivisionError:

@@ -31,6 +31,12 @@ entries in equal numbers at each level, so we keep the rational gauge above
 (a diagonal path-basis rescaling away from symmetric; traces, products, and
 the Yang-Baxter identity are unchanged).  Every operator is therefore an
 integer-polynomial matrix over one bullet q-number.
+
+Products run packed: every numerator is evaluated at q = 2^w (Kronecker
+substitution), the matrix product runs on Python ints, with +-q^e entries as
+signed shifts, and the trace is decoded into a Laurent polynomial once.  The
+width w is derived from the operators so that the decoding is exact (see
+``_packed_product``).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .laurent import LaurentPoly, qnum_bullet
+from .laurent import LaurentPoly, pack, qnum_bullet, unpack
 from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it here)
 from .young import Hook, HookGraph, Path, enumerate_paths
 
@@ -226,33 +232,116 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 
 # -- exact products and traces ------------------------------------------------
 #
-# Products are carried as sparse integer-polynomial numerator matrices over a
-# single running denominator, the product of the operators' ``den``.
+# A product is evaluated at q = 2**w (Kronecker substitution: a ring
+# homomorphism Z[q] -> Z), so it runs entirely on Python ints and only its
+# result is decoded, once per trace.  Each operator's entries are multiplied
+# by q**-low, low the least exponent among them, so that every packed entry is
+# a nonnegative power of two times an int; the lows add up to the result's
+# least exponent.  A +-q^e entry (r11, r21, r22, and singlets over den = 1)
+# then acts as a signed shift.  An entry with few terms spread over many bits
+# acts as one signed shift per term, since a shift-and-add pass costs one pass
+# over the running entry and a multiplication costs one pass per machine digit
+# of the multiplier.  The running product is kept by columns: column c of
+# P * B combines the columns of P named by column c of B, which has at most
+# two entries.  The denominator product, a 1 x 1 product, runs the same way.
+
+# Bits of packed span per nonzero term above which an entry is applied as one
+# signed shift per term.  A q-number [n]_N has n terms over 2N(n-1) exponents,
+# so it spreads once N * width > 64 n / (n - 1): short fundamental-color
+# products (width 64 or less) keep one multiplication per entry, while deep
+# and colored products, whose packed entries are mostly zero bits, shift.
+SPREAD_BITS_PER_TERM = 128
+
+Term = tuple[list[int], int, int]  # (column, multiplier, shift)
 
 
-def _mul_num_rows(a: NumeratorRows, b: NumeratorRows) -> NumeratorRows:
-    out: NumeratorRows = [dict() for _ in a]
-    for r, row in enumerate(a):
-        for k, v in row.items():
-            for c, w in b[k].items():
-                prev = out[r].get(c)
-                prod = v * w
-                out[r][c] = prod if prev is None else prev + prod
+def _norm(p: LaurentPoly) -> int:
+    return sum(map(abs, p.coeffs))
+
+
+def _terms(src: list[int], p: LaurentPoly, low: int, width: int) -> list[Term]:
+    """``src`` times ``q**-low * p`` at q = 2**width, as (column, multiplier, shift) terms."""
+    base = (p.min_exp - low) * width
+    nonzero = len(p.coeffs) - p.coeffs.count(0)
+    if nonzero > 1 and (len(p.coeffs) - 1) * width > SPREAD_BITS_PER_TERM * nonzero:
+        return [(src, c, base + i * width) for i, c in enumerate(p.coeffs) if c]
+    return [(src, pack(p, width), base)]
+
+
+def _combine(terms: list[Term]) -> list[int]:
+    """The sum of ``multiplier * column << shift`` over the terms; +-1 is a signed shift."""
+    (src, m, shift), rest = terms[0], terms[1:]
+    if m == 1:
+        out = [x << shift for x in src]
+    elif m == -1:
+        out = [-x << shift for x in src]
+    else:
+        out = [x * m << shift for x in src]
+    for src, m, shift in rest:
+        if m == 1:
+            out = [a + (x << shift) for a, x in zip(out, src)]
+        elif m == -1:
+            out = [a - (x << shift) for a, x in zip(out, src)]
+        else:
+            out = [a + (x * m << shift) for a, x in zip(out, src)]
     return out
 
 
-def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, LaurentPoly]:
-    """Ordered product as (numerator rows, common denominator)."""
+def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int, int, LaurentPoly]:
+    """The ordered product at q = 2**width as (columns, width, min_exp, denominator).
+
+    ``columns[c][r]`` is ``pack`` of entry (r, c) over ``q**min_exp``; the
+    denominator is the decoded product of the operators' ``den``.  Calls
+    ``numerator_rows`` once per operator.
+
+    Width bound: let ``||p||_1`` be the sum of the absolute values of p's
+    coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
+    ||A_rc||_1``.  Then every coefficient of the trace is at most
+    ``dim * prod ||op||``, and every coefficient of the denominator at most
+    ``prod ||op.den||_1``.  Proof: ``||pq||_1 <= ||p||_1 ||q||_1`` makes the
+    norm submultiplicative, a coefficient is at most its entry's 1-norm, and
+    the trace sums ``dim`` entries of one product.  ``width`` is the least
+    multiple of 8 with ``2**(width - 1)`` above both bounds, which is what
+    makes :func:`hookalex.laurent.unpack` exact.
+    """
     if not ops:
         raise ValueError("empty operator product")
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
-    rows = ops[0].numerator_rows()
-    den = ops[0].den
-    for op in ops[1:]:
-        rows = _mul_num_rows(rows, op.numerator_rows())
-        den = den * op.den
+    dim = ops[0].dim
+    mats = [op.numerator_rows() for op in ops]
+    bound, den_bound = dim, 1
+    for op, rows in zip(ops, mats):
+        bound *= max(sum(_norm(p) for p in row.values()) for row in rows)
+        den_bound *= _norm(op.den)
+    width = 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
+
+    cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
+    den = [1]
+    min_exp = den_exp = 0
+    for op, rows in zip(ops, mats):
+        low = min(p.min_exp for row in rows for p in row.values())
+        terms: list[list[Term]] = [[] for _ in range(dim)]
+        for k, row in enumerate(rows):
+            for c, p in row.items():
+                terms[c] += _terms(cols[k], p, low, width)
+        cols = [_combine(col) for col in terms]
+        min_exp += low
+        if not op.den.is_one():
+            den = _combine(_terms(den, op.den, op.den.min_exp, width))
+            den_exp += op.den.min_exp
+    return cols, width, min_exp, unpack(den[0], width, den_exp)
+
+
+def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, LaurentPoly]:
+    """Ordered product as (numerator rows, common denominator); zero entries are omitted."""
+    cols, width, min_exp, den = _packed_product(ops)
+    rows: NumeratorRows = [dict() for _ in cols]
+    for c, col in enumerate(cols):
+        for r, value in enumerate(col):
+            if value:
+                rows[r][c] = unpack(value, width, min_exp)
     return rows, den
 
 
@@ -265,13 +354,8 @@ class Trace(NamedTuple):
 
 def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     """Exact trace of the ordered product of block operators on one path basis."""
-    rows, den = product_numerators(ops)
-    total = LaurentPoly.zero()
-    for i, row in enumerate(rows):
-        v = row.get(i)
-        if v is not None:
-            total = total + v
-    return Trace(total, den)
+    cols, width, min_exp, den = _packed_product(ops)
+    return Trace(unpack(sum(col[c] for c, col in enumerate(cols)), width, min_exp), den)
 
 
 def _same_quotient(ra: NumeratorRows, da: LaurentPoly,

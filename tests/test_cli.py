@@ -161,6 +161,14 @@ def test_table_hook_size_below_one_is_usage_error(capsys, size):
     assert err.startswith("usage error:") and "--max-hook-size" in err
 
 
+@pytest.mark.parametrize("braids", ["1 1@2", "1 1@2;1 1 2 2@3", ""])
+def test_table_without_a_knot_is_usage_error(capsys, braids):
+    code, out, err = run_cli(capsys, "table", "--braids", braids)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: --braids:")
+
+
 @pytest.mark.parametrize("entry", ["1 1 1", "1 1 1@two", "1 q@2", "3@2"])
 def test_malformed_table_entry_raises_braid_error(entry):
     with pytest.raises(BraidError, match="--braids"):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hookalex.braid import NotAKnotError, markov_variants, parse_braid
+from hookalex.braid import NotAKnotError, closure_is_knot, markov_variants, parse_braid
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
 from hookalex.laurent import LaurentPoly, RationalFunc, exact_div
@@ -172,6 +174,26 @@ def test_torus_knots_match_closed_form(p, r, hook):
     for h in (Hook(0, 0), hook):
         poly = alexander(h, b).polynomial
         assert (poly.min_exp, list(poly.coeffs)) == torus_closed_form(p, r, h.size), (p, r, h)
+
+
+# Deep products, where the width bound of the packed product is furthest above the
+# real coefficients.
+
+@pytest.mark.parametrize("hook", [Hook(0, 0), Hook(2, 1)])
+def test_deep_torus_knot_matches_closed_form(hook):
+    poly = alexander(hook, torus_braid(3, 31)).polynomial
+    assert (poly.min_exp, list(poly.coeffs)) == torus_closed_form(3, 31, hook.size)
+
+
+def test_deep_random_knot_matches_oracle():
+    rng = random.Random(100)
+    while True:
+        b = parse_braid(" ".join(str(rng.choice((1, -1, 2, -2))) for _ in range(100)), 3)
+        if closure_is_knot(b):
+            break
+    reference = burau_alexander(b)
+    assert alexander(Hook(0, 0), b).polynomial == reference
+    assert alexander(Hook(2, 1), b).polynomial == reference.substitute_power(4)
 
 
 # -- topological invariance ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc,
-                              exact_div, qnum, qnum_bullet)
+                              exact_div, pack, qnum, qnum_bullet, unpack)
 
 polys = st.builds(LaurentPoly, st.integers(-5, 5),
                   st.lists(st.integers(-9, 9), max_size=6))
@@ -167,6 +167,43 @@ def test_inexact_division_message_is_bounded():
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(p, d):
     assert exact_div(p * d, d) == p
+
+
+# -- Kronecker packing ------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", [8, 16, 48, 72])
+def test_pack_roundtrip_at_the_coefficient_bound(width):
+    top = 2 ** (width - 1) - 1
+    for p in (LaurentPoly.zero(), LaurentPoly.monomial(-top, -7),
+              LaurentPoly(-3, (top, -top, 0, 1, -1, 0, top)),
+              LaurentPoly(-5, (-top,) * 9), LaurentPoly(4, (1, 0, 0, -top))):
+        assert unpack(pack(p, width), width, p.min_exp) == p
+
+
+def test_pack_is_the_value_at_a_power_of_two():
+    p = LaurentPoly(-2, (5, 0, -3, 1))
+    assert pack(p, 16) == 5 - 3 * 2 ** 32 + 2 ** 48
+    assert pack(LaurentPoly.zero(), 16) == 0
+
+
+def test_pack_respects_ring_operations():
+    p, r = LaurentPoly(-2, (5, 0, -3, 1)), LaurentPoly(1, (-2, 7))
+    width = 24
+    assert pack(p * r, width) == pack(p, width) * pack(r, width)
+    s = p + r.shift(-3)  # both start at q^-2, so their packs add
+    assert pack(s, width) == pack(p, width) + pack(r.shift(-3), width)
+
+
+def test_unpack_bound_is_tight():
+    # one past the bound lands in the next digit: the bound in the docstring is exact
+    width = 8
+    p = LaurentPoly(0, (2 ** (width - 1), 1))
+    assert unpack(pack(p, width), width, 0) != p
+
+
+@given(polys, st.sampled_from([8, 16, 24]))
+def test_pack_roundtrip(p, width):
+    assert unpack(pack(p, width), width, p.min_exp) == p
 
 
 # -- rational functions ---------------------------------------------------------------

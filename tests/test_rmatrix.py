@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from hookalex.braid import closure_is_knot, parse_braid
 from hookalex.laurent import LaurentPoly, qnum, qnum_bullet
 from hookalex.rmatrix import (SignedMonomial, assemble_R, commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
@@ -169,6 +171,75 @@ def test_trace_dimension_mismatch():
     g = HookGraph(Hook(0, 0), 3)
     with pytest.raises(ValueError):
         trace_product([assemble_R(g, 0, 1), assemble_R(g, 1, 1)])
+
+
+# -- the packed product kernel -----------------------------------------------------------
+
+def _dense_product(ops):
+    """The ordered product by plain LaurentPoly arithmetic on ``numerator_rows``."""
+    zero = LaurentPoly.zero()
+    dim = ops[0].dim
+    acc = [[LaurentPoly.one() if r == c else zero for c in range(dim)] for r in range(dim)]
+    den = LaurentPoly.one()
+    for op in ops:
+        rows = op.numerator_rows()
+        acc = [[sum((acc[r][k] * rows[k][c] for k in range(dim) if c in rows[k]), zero)
+                for c in range(dim)] for r in range(dim)]
+        den = den * op.den
+    return acc, den
+
+
+def _seeded_products():
+    """Operator lists of seeded mixed-sign braids: m = 2..6, hooks up to size 3, every vertex."""
+    rng = random.Random(20240915)
+    for m in range(2, 7):
+        for h in hooks_up_to_size(3):
+            g = HookGraph(h, m)
+            letters = [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(m + 5)]
+            for k in range(m):
+                yield [assemble_R(g, k, abs(x), x < 0) for x in letters]
+
+
+def test_product_numerators_match_dense_product():
+    zero = LaurentPoly.zero()
+    for ops in _seeded_products():
+        rows, den = product_numerators(ops)
+        dense, dense_den = _dense_product(ops)
+        assert den == dense_den
+        assert all(p != zero for row in rows for p in row.values())
+        assert [[row.get(c, zero) for c in range(len(rows))] for row in rows] == dense
+
+
+def test_trace_product_matches_dense_trace():
+    for ops in _seeded_products():
+        t = trace_product(ops)
+        dense, dense_den = _dense_product(ops)
+        assert t.num == sum((dense[i][i] for i in range(len(dense))), LaurentPoly.zero())
+        assert t.den == dense_den
+
+
+def test_packed_trace_multiplies_no_polynomials(monkeypatch):
+    b = parse_braid("-1 2 -3 4 -5 3 -2 1 4 -3 2", 6)
+    assert closure_is_knot(b)
+    products = []
+    for h in (Hook(0, 0), Hook(1, 0)):
+        g = HookGraph(h, 6)
+        products += [[assemble_R(g, k, abs(x), x < 0) for x in b.letters] for k in range(6)]
+    expected = []
+    for ops in products:
+        dense, den = _dense_product(ops)
+        expected.append((sum((dense[i][i] for i in range(len(dense))), LaurentPoly.zero()), den))
+
+    mul = LaurentPoly.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, LaurentPoly):
+            raise AssertionError("LaurentPoly x LaurentPoly on the packed path")
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", scalar_only)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", scalar_only)
+    assert [tuple(trace_product(ops)) for ops in products] == expected
 
 
 # -- operator identities --------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""The sweep scripts refuse sweeps that would check nothing."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("name,argv,flag", [
+    ("scaling_sweep.py", ["--max-hook-size", "0"], "--max-hook-size"),
+    ("scaling_sweep.py", ["--max-hook-size", "-2"], "--max-hook-size"),
+    ("scaling_sweep.py", ["--braids", "1 1@2"], "--braids"),
+    ("yb_sweep.py", ["--max-hook-size", "0"], "--max-hook-size"),
+    ("yb_sweep.py", ["--max-strands", "2"], "--max-strands"),
+])
+def test_empty_sweep_is_usage_error(name, argv, flag):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2
+    assert "checked" not in proc.stdout and "all equal" not in proc.stdout
+    assert flag in proc.stderr
+
+
+def test_smallest_sweeps_run():
+    proc = run_script("yb_sweep.py", "--max-hook-size", "1", "--max-strands", "3")
+    assert proc.returncode == 0 and "3 identities checked" in proc.stdout
+    proc = run_script("scaling_sweep.py", "--max-hook-size", "1", "--braids", "1 1 1@2")
+    assert proc.returncode == 0 and "all equal (1 knots x 1 hooks)" in proc.stdout
