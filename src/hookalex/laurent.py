@@ -28,83 +28,85 @@ class InexactDivisionError(ArithmeticError):
 Scalar = Union[int, Fraction, float]
 
 
-@dataclass(init=False, frozen=True)
+@dataclass(init=False, frozen=True, slots=True)
 class LaurentPoly:
-    """An integer Laurent polynomial, stored as a valuation plus dense coefficients.
+    """An integer Laurent polynomial ``q**min_exp * p(q**step)``.
 
-    ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``.  Construction
-    trims zero coefficients at both ends, so equal polynomials have equal
-    representations; the zero polynomial is canonically ``(0, ())``.
+    ``terms[i]`` is the coefficient of ``q**(min_exp + i * step)``, and
+    ``step`` is the gcd of the gaps between the exponents of the nonzero
+    terms (1 for at most one term).  A polynomial in ``q**N`` times a monomial,
+    such as a bullet q-number or a colored invariant, therefore stores no
+    zeros between its terms.  Construction takes dense coefficients, trims
+    zeros at both ends and takes that gcd, so equal polynomials have equal
+    representations; the zero polynomial is canonically ``(0, 1, ())``.
+    ``coeffs`` gives the dense coefficients back.
 
     >>> LaurentPoly(-1, (1, 0, 1))
     LaurentPoly('q + q^-1')
+    >>> p = LaurentPoly(-2, (1, 0, 0, 0, -3))
+    >>> p.step, p.terms, p.coeffs
+    (4, (1, -3), (1, 0, 0, 0, -3))
     >>> LaurentPoly(2, (0, 0)) == LaurentPoly.zero()
     True
     """
 
     min_exp: int
-    coeffs: tuple[int, ...]
+    step: int
+    terms: tuple[int, ...]
 
     def __init__(self, min_exp: int, coeffs: Sequence[int]):
-        lo, hi = 0, len(coeffs)
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-            min_exp += 1
-        while lo < hi and coeffs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "min_exp", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_exp", min_exp)
-            object.__setattr__(self, "coeffs", tuple(coeffs[lo:hi]))
+        _assign(self, min_exp, 1, coeffs)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> LaurentPoly:
-        return cls(0, ())
+        return _raw(0, 1, ())
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls(0, (1,))
+        return _raw(0, 1, (1,))
 
     @classmethod
     def constant(cls, n: int) -> LaurentPoly:
-        return cls(0, (n,))
+        return cls.monomial(n, 0)
 
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> LaurentPoly:
         """The monomial ``coeff * q**exp``."""
-        return cls(exp, (coeff,))
+        return _raw(exp, 1, (coeff,)) if coeff else _raw(0, 1, ())
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Dense coefficients: ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``."""
+        if self.step == 1:
+            return self.terms
+        return tuple(_spread(self.terms, self.step))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_one(self) -> bool:
-        return self.coeffs == (1,) and self.min_exp == 0
+        return self.terms == (1,) and self.min_exp == 0
 
     def degree(self) -> int:
         """Exponent of the highest term (garbage 0 for the zero polynomial)."""
-        return self.min_exp + len(self.coeffs) - 1 if self.coeffs else 0
+        return self.min_exp + (len(self.terms) - 1) * self.step if self.terms else 0
 
     def coefficient(self, exp: int) -> int:
-        i = exp - self.min_exp
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        i, off = divmod(exp - self.min_exp, self.step)
+        if off == 0 and 0 <= i < len(self.terms):
+            return self.terms[i]
         return 0
 
     def content(self) -> int:
         """gcd of all coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(c))
-        return g
+        return math.gcd(*self.terms)
 
     def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
+        return self.terms[-1] if self.terms else 0
 
     # -- ring operations ---------------------------------------------------
 
@@ -118,18 +120,18 @@ class LaurentPoly:
         if other.is_zero():
             return self
         lo = min(self.min_exp, other.min_exp)
-        hi = max(self.degree(), other.degree())
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp + i - lo] += c
-        return LaurentPoly(lo, out)
+        step = math.gcd(self.step, other.step, self.min_exp - other.min_exp)
+        out = [0] * ((max(self.degree(), other.degree()) - lo) // step + 1)
+        for p in (self, other):
+            start, stride = (p.min_exp - lo) // step, p.step // step
+            for i, c in enumerate(p.terms):
+                out[start + i * stride] += c
+        return _build(lo, step, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
+        return _raw(self.min_exp, self.step, tuple([-c for c in self.terms]))
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
@@ -143,24 +145,34 @@ class LaurentPoly:
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
         if isinstance(other, int):
-            return LaurentPoly(self.min_exp, tuple(c * other for c in self.coeffs))
+            if other == 1:
+                return self
+            if other == 0:
+                return LaurentPoly.zero()
+            return _raw(self.min_exp, self.step, tuple([c * other for c in self.terms]))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
+        if self.step == other.step:
+            step, a, b = self.step, self.terms, other.terms
+        else:
+            step = math.gcd(self.step, other.step)
+            a = _spread(self.terms, self.step // step)
+            b = _spread(other.terms, other.step // step)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
             if c:
-                for j, d in enumerate(other.coeffs):
+                for j, d in enumerate(b):
                     out[i + j] += c * d
-        return LaurentPoly(self.min_exp + other.min_exp, out)
+        return _build(self.min_exp + other.min_exp, step, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
-            if len(self.coeffs) == 1 and self.coeffs[0] in (1, -1):
-                return LaurentPoly.monomial(self.coeffs[0], -self.min_exp) ** (-n)
+            if len(self.terms) == 1 and self.terms[0] in (1, -1):
+                return LaurentPoly.monomial(self.terms[0], -self.min_exp) ** (-n)
             raise ValueError("negative power of a non-unit Laurent polynomial")
         result = LaurentPoly.one()
         base = self
@@ -175,7 +187,9 @@ class LaurentPoly:
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by ``q**k``."""
-        return LaurentPoly(self.min_exp + k, self.coeffs)
+        if self.is_zero():
+            return self
+        return _raw(self.min_exp + k, self.step, self.terms)
 
     def substitute_power(self, k: int) -> LaurentPoly:
         """Substitute q -> q**k, scaling every exponent by k (k >= 1).
@@ -187,35 +201,36 @@ class LaurentPoly:
             raise ValueError(f"substitution power must be >= 1, got {k}")
         if k == 1 or self.is_zero():
             return self
-        out = [0] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return LaurentPoly(self.min_exp * k, out)
+        step = self.step * k if len(self.terms) > 1 else 1
+        return _raw(self.min_exp * k, step, self.terms)
 
     def invert_variable(self) -> LaurentPoly:
         """Substitute q -> q**-1."""
-        return LaurentPoly(-self.degree(), tuple(reversed(self.coeffs)))
+        if self.is_zero():
+            return self
+        return _raw(-self.degree(), self.step, self.terms[::-1])
 
     def evaluate(self, q: Scalar) -> Scalar:
         """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
         if isinstance(q, int):
             q = Fraction(q)
+        power = q ** self.step
         acc = 0
-        for exp in range(self.degree(), self.min_exp - 1, -1):
-            acc = acc * q + self.coefficient(exp)
+        for c in reversed(self.terms):
+            acc = acc * power + c
         return acc * q ** self.min_exp
 
     def at_one(self) -> int:
-        return sum(self.coeffs)
+        return sum(self.terms)
 
     def summary(self) -> str:
         """A bounded description for error messages: exponents, lead term, coefficient size."""
         if self.is_zero():
             return "0"
-        lead = self.coeffs[-1]
+        lead = self.terms[-1]
         if abs(lead).bit_length() > 64:
             lead = f"{'-' if lead < 0 else ''}<{abs(lead).bit_length()}-bit>"
-        bits = max(abs(c).bit_length() for c in self.coeffs)
+        bits = max(abs(c).bit_length() for c in self.terms)
         return (f"exponents {self.min_exp}..{self.degree()}, lead {lead}q^{self.degree()}, "
                 f"{bits}-bit coefficients")
 
@@ -232,10 +247,11 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         parts: list[str] = []
-        for exp in range(self.degree(), self.min_exp - 1, -1):
-            c = self.coefficient(exp)
+        for i in range(len(self.terms) - 1, -1, -1):
+            c = self.terms[i]
             if c == 0:
                 continue
+            exp = self.min_exp + i * self.step
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if exp == 0:
@@ -295,6 +311,55 @@ class LaurentPoly:
         return cls.from_json_dict(json.loads(text))
 
 
+# Tuples here are built from lists, never from generators: a tuple built from a
+# generator (or unpacked from one into arguments) is allocated at one size and
+# freed at another, which fills CPython's small-tuple free lists and, over a
+# long run, holds on to memory.
+
+def _raw(min_exp: int, step: int, terms: tuple[int, ...]) -> LaurentPoly:
+    """A polynomial from fields already in canonical form."""
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "min_exp", min_exp)
+    object.__setattr__(p, "step", step)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _assign(p: LaurentPoly, min_exp: int, step: int, seq: Sequence[int]) -> None:
+    """Set ``p`` to ``sum seq[i] q**(min_exp + i * step)`` in canonical form."""
+    lo, hi = 0, len(seq)
+    while lo < hi and seq[lo] == 0:
+        lo += 1
+    while lo < hi and seq[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        min_exp, step, terms = 0, 1, ()
+    elif hi - lo == 1:
+        min_exp, step, terms = min_exp + lo * step, 1, (seq[lo],)
+    else:
+        gap = 1 if seq[lo + 1] else math.gcd(*[i - lo for i in range(lo + 1, hi) if seq[i]])
+        min_exp, step, terms = min_exp + lo * step, step * gap, tuple(seq[lo:hi:gap])
+    object.__setattr__(p, "min_exp", min_exp)
+    object.__setattr__(p, "step", step)
+    object.__setattr__(p, "terms", terms)
+
+
+def _build(min_exp: int, step: int, seq: Sequence[int]) -> LaurentPoly:
+    """The canonical ``sum seq[i] q**(min_exp + i * step)``."""
+    p = object.__new__(LaurentPoly)
+    _assign(p, min_exp, step, seq)
+    return p
+
+
+def _spread(terms: Sequence[int], stride: int) -> Sequence[int]:
+    """``terms`` with ``stride - 1`` zeros between neighbours."""
+    if stride == 1:
+        return terms
+    out = [0] * ((len(terms) - 1) * stride + 1)
+    out[::stride] = terms
+    return out
+
+
 def qnum(n: int) -> LaurentPoly:
     """The q-number [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), for n >= 1.
 
@@ -331,9 +396,9 @@ def pack(p: LaurentPoly, width: int) -> int:
     >>> pack(LaurentPoly(-1, (3, 0, -1)), 8) == 3 - 2**16
     True
     """
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = (acc << width) + c
+    acc, shift = 0, width * p.step
+    for c in reversed(p.terms):
+        acc = (acc << shift) + c
     return acc
 
 
@@ -378,8 +443,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    a = list(num.coeffs)
-    b = den.coeffs
+    # both are polynomials in q**step up to a monomial, and so is the quotient
+    step = math.gcd(num.step, den.step)
+    a = list(_spread(num.terms, num.step // step))
+    b = _spread(den.terms, den.step // step)
     top = len(b) - 1
     if len(a) <= top:
         raise _not_divisible(num, den)
@@ -395,7 +462,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 a[i + j] -= c * bc
     if any(a[:top]):
         raise _not_divisible(num, den)
-    return LaurentPoly(num.min_exp - den.min_exp, quo)
+    return _build(num.min_exp - den.min_exp, step, quo)
 
 
 @dataclass(init=False, frozen=True, eq=False)

@@ -256,15 +256,15 @@ Term = tuple[list[int], int, int]  # (column, multiplier, shift)
 
 
 def _norm(p: LaurentPoly) -> int:
-    return sum(map(abs, p.coeffs))
+    return sum(map(abs, p.terms))
 
 
 def _terms(src: list[int], p: LaurentPoly, low: int, width: int) -> list[Term]:
     """``src`` times ``q**-low * p`` at q = 2**width, as (column, multiplier, shift) terms."""
     base = (p.min_exp - low) * width
-    nonzero = len(p.coeffs) - p.coeffs.count(0)
-    if nonzero > 1 and (len(p.coeffs) - 1) * width > SPREAD_BITS_PER_TERM * nonzero:
-        return [(src, c, base + i * width) for i, c in enumerate(p.coeffs) if c]
+    nonzero = len(p.terms) - p.terms.count(0)
+    if nonzero > 1 and (len(p.terms) - 1) * p.step * width > SPREAD_BITS_PER_TERM * nonzero:
+        return [(src, c, base + i * p.step * width) for i, c in enumerate(p.terms) if c]
     return [(src, pack(p, width), base)]
 
 

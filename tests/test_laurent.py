@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,47 @@ def test_inexact_division_message_is_bounded():
 @given(polys, nonzero_polys)
 def test_exact_div_inverts_multiplication(p, d):
     assert exact_div(p * d, d) == p
+
+
+# -- strided storage ----------------------------------------------------------------------
+
+def _dense(p):
+    return {p.min_exp + i: c for i, c in enumerate(p.coeffs) if c}
+
+
+@given(polys, polys, st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3))
+def test_strided_arithmetic_matches_dense(p, r, k, m, s):
+    # substitutions and shifts give operands of different steps and offsets
+    a, b = p.substitute_power(k), r.substitute_power(m).shift(s)
+    da, db = _dense(a), _dense(b)
+    total = {e: da.get(e, 0) + db.get(e, 0) for e in set(da) | set(db)}
+    assert _dense(a + b) == {e: c for e, c in total.items() if c}
+    prod = {}
+    for e, c in da.items():
+        for f, d in db.items():
+            prod[e + f] = prod.get(e + f, 0) + c * d
+    assert _dense(a * b) == {e: c for e, c in prod.items() if c}
+
+
+@given(polys, st.integers(1, 4), st.integers(-3, 3))
+def test_step_is_the_gcd_of_exponent_gaps(p, k, s):
+    a = p.substitute_power(k).shift(s)
+    exps = sorted(_dense(a))
+    gaps = [e - exps[0] for e in exps[1:]]
+    assert a.step == (math.gcd(*gaps) if gaps else 1)
+    assert len(a.terms) == (a.degree() - a.min_exp) // a.step + 1 if exps else a.terms == ()
+    assert LaurentPoly(a.min_exp, a.coeffs) == a
+
+
+def test_strided_division_and_evaluation():
+    num = qnum_bullet(6, 3) * qnum_bullet(2, 2)
+    assert num.step == 2 and qnum_bullet(6, 3).step == 6
+    assert exact_div(num, qnum_bullet(6, 3)) == qnum_bullet(2, 2)
+    assert exact_div(num.shift(1), qnum_bullet(2, 2)) == qnum_bullet(6, 3).shift(1)
+    with pytest.raises(InexactDivisionError):
+        exact_div(num + LaurentPoly.one(), qnum_bullet(6, 3))
+    q = Fraction(3, 2)
+    assert num.evaluate(q) == qnum_bullet(6, 3).evaluate(q) * qnum_bullet(2, 2).evaluate(q)
 
 
 # -- Kronecker packing ------------------------------------------------------------------
