@@ -2,7 +2,10 @@
 
 `LaurentPoly` is the universal value type of the engine: every knot invariant
 it produces is an honest Laurent polynomial with integer coefficients, and
-every intermediate value is one too.  The evaluator's single division of the
+every intermediate value is one too.  It is stored strided, as
+``q**min_exp * p(q**step)`` with ``step`` the gcd of its exponent gaps, so
+polynomials in ``q**N`` (colored invariants, bullet q-numbers) carry no runs
+of zeros.  The evaluator's single division of the
 vertex sum by its factored denominator goes through `exact_div`, which fails
 loudly if the division is not exact.  `pack` and `unpack` map a polynomial to
 its value at q = 2**width and back (Kronecker substitution); the operator
