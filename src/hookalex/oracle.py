@@ -24,59 +24,75 @@ def _identity(n: int) -> list[list[LaurentPoly]]:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def reduced_burau(letter: int, strands: int) -> Matrix:
-    """Image of one braid letter in the reduced (m-1)-dimensional representation.
+def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, LaurentPoly]]:
+    """``(j, {column: entry})`` for row ``j``, the one row of the letter's matrix not the identity's.
 
     Generator i sends v(i-1) -> v(i-1) + t*v(i), v(i) -> -t*v(i),
     v(i+1) -> v(i) + v(i+1); the inverse letters are exact.
     """
     if letter == 0 or abs(letter) >= strands:
         raise ValueError(f"letter {letter} invalid on {strands} strands")
-    n = strands - 1
     j = abs(letter) - 1
-    mat = _identity(n)
     if letter > 0:
-        mat[j][j] = -_T
-        if j >= 1:
-            mat[j][j - 1] = _T
-        if j + 1 < n:
-            mat[j][j + 1] = _ONE
+        row = {j - 1: _T, j: -_T, j + 1: _ONE}
     else:
-        mat[j][j] = -_T_INV
-        if j >= 1:
-            mat[j][j - 1] = _ONE
-        if j + 1 < n:
-            mat[j][j + 1] = _T_INV
-    return tuple(tuple(row) for row in mat)
+        row = {j - 1: _ONE, j: -_T_INV, j + 1: _T_INV}
+    return j, {c: e for c, e in row.items() if 0 <= c < strands - 1}
 
 
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), _ZERO) for j in range(n))
-        for i in range(n))
+def reduced_burau(letter: int, strands: int) -> Matrix:
+    """Image of one braid letter in the reduced (m-1)-dimensional representation."""
+    j, row = _letter_row(letter, strands)
+    mat = _identity(strands - 1)
+    mat[j] = [row.get(c, _ZERO) for c in range(strands - 1)]
+    return tuple(tuple(r) for r in mat)
 
 
 def burau_matrix(b: BraidWord) -> Matrix:
-    mat = tuple(tuple(row) for row in _identity(b.strands - 1))
+    """The product of the letters' matrices, left to right.
+
+    Right multiplication by a letter's matrix, the identity but in row ``j``,
+    changes only the columns ``c`` of row ``j``'s entries: column ``c`` gains
+    column ``j`` times the entry (column ``j`` itself is replaced by that
+    product), so each letter costs one pass over at most three columns.
+    """
+    mat = _identity(b.strands - 1)
     for g in b.letters:
-        mat = _matmul(mat, reduced_burau(g, b.strands))
-    return mat
+        j, row = _letter_row(g, b.strands)
+        for r in mat:
+            x = r[j]
+            if not x.is_zero():
+                for c, e in row.items():
+                    r[c] = x * e if c == j else r[c] + x * e
+    return tuple(tuple(r) for r in mat)
 
 
 def _det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = _ZERO
-    sign = 1
-    for j in range(n):
-        if not mat[0][j].is_zero():
-            minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-            term = mat[0][j] * _det(minor)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    Step k replaces each entry below and right of the pivot by the 2 x 2
+    minor with the pivot row and column, divided by the previous pivot; the
+    division is exact (Sylvester's identity), so every entry stays an integer
+    Laurent polynomial, and the last entry is the determinant.  A zero pivot
+    swaps in a lower row with a nonzero entry, flipping the sign; none means
+    the determinant is zero.
+    """
+    a = [list(r) for r in mat]
+    n = len(a)
+    sign, prev = 1, _ONE
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if swap is None:
+                return _ZERO
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = exact_div(a[i][j] * pivot - a[i][k] * a[k][j], prev)
+        prev = pivot
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
 def burau_alexander(b: BraidWord) -> LaurentPoly:

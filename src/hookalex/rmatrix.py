@@ -36,14 +36,18 @@ Products run packed: every numerator is evaluated at q = 2^w (Kronecker
 substitution), the matrix product runs on Python ints, with +-q^e entries as
 signed shifts, and the trace is decoded into a Laurent polynomial once.  The
 width w is derived from the operators so that the decoding is exact (see
-``_packed_product``).
+``_packed_product``).  Each operator is compiled once, the first time it
+enters a product, into a plan (:class:`OperatorPlan`): its numerator rows,
+the norms the width bound needs and its least exponent, plus its packed
+terms memoized for at most ``PLAN_WIDTHS`` widths.  Operators repeat across
+letters, vertices and braids, so a product only shifts and adds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly, pack, qnum_bullet, unpack
@@ -182,14 +186,17 @@ class BlockOperator:
     doublets: tuple[tuple[tuple[int, int], DoubletBlock], ...]
     den: LaurentPoly
 
-    def numerator_rows(self) -> NumeratorRows:
-        """Entries as integer numerators over the common denominator ``den``."""
-        out: NumeratorRows = [dict() for _ in range(self.dim)]
-        for idx, e in self.singlets:
-            out[idx][idx] = self.den.shift(e.exponent) * e.sign
-        for (i, j), b in self.doublets:
-            out[i][i], out[i][j], out[j][i], out[j][j] = b.r11, b.r12, b.r21, b.r22
-        return out
+    def numerator_rows(self) -> OperatorPlan:
+        """Entries as integer numerators over ``den``, with the operator's product plan.
+
+        Built on the first call and shared by every later one, so callers must
+        not mutate the rows.
+        """
+        return self._plan
+
+    @cached_property
+    def _plan(self) -> OperatorPlan:
+        return OperatorPlan(self)
 
 
 def _classify(path: Path, i: int) -> tuple[int, int] | int:
@@ -244,6 +251,12 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # of the multiplier.  The running product is kept by columns: column c of
 # P * B combines the columns of P named by column c of B, which has at most
 # two entries.  The denominator product, a 1 x 1 product, runs the same way.
+#
+# What a product needs of one operator is compiled once, into the operator's
+# plan (:class:`OperatorPlan`): its rows, the two norms of the width bound and
+# low.  The packed terms depend on the width too, so each plan memoizes them
+# for its last PLAN_WIDTHS widths.  A product then only looks its operators'
+# terms up and shifts and adds.
 
 # Bits of packed span per nonzero term above which an entry is applied as one
 # signed shift per term.  A q-number [n]_N has n terms over 2N(n-1) exponents,
@@ -252,38 +265,100 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # and colored products, whose packed entries are mostly zero bits, shift.
 SPREAD_BITS_PER_TERM = 128
 
-Term = tuple[list[int], int, int]  # (column, multiplier, shift)
+# Widths at which each plan keeps its packed terms.  The width follows the
+# norm of the whole product in steps of 8 bits, so the products of one
+# operator visit few widths: up to 5 per operator over the fund-wide benchmark
+# corpus and 8 over long-braid.  Past this bound the oldest width is dropped.
+PLAN_WIDTHS = 8
+
+# An operator's terms at one width, flat: column, row, multiplier, shift,
+# column, row, multiplier, shift, ...  One tuple per width keeps a plan small.
+Terms = tuple[int, ...]
 
 
 def _norm(p: LaurentPoly) -> int:
     return sum(map(abs, p.terms))
 
 
-def _terms(src: list[int], p: LaurentPoly, low: int, width: int) -> list[Term]:
-    """``src`` times ``q**-low * p`` at q = 2**width, as (column, multiplier, shift) terms."""
+def _terms(p: LaurentPoly, low: int, width: int) -> list[tuple[int, int]]:
+    """``q**-low * p`` at q = 2**width as (multiplier, shift) terms."""
     base = (p.min_exp - low) * width
     nonzero = len(p.terms) - p.terms.count(0)
     if nonzero > 1 and (len(p.terms) - 1) * p.step * width > SPREAD_BITS_PER_TERM * nonzero:
-        return [(src, c, base + i * p.step * width) for i, c in enumerate(p.terms) if c]
-    return [(src, pack(p, width), base)]
+        return [(c, base + i * p.step * width) for i, c in enumerate(p.terms) if c]
+    return [(pack(p, width), base)]
 
 
-def _combine(terms: list[Term]) -> list[int]:
-    """The sum of ``multiplier * column << shift`` over the terms; +-1 is a signed shift."""
-    (src, m, shift), rest = terms[0], terms[1:]
-    if m == 1:
-        out = [x << shift for x in src]
-    elif m == -1:
-        out = [-x << shift for x in src]
-    else:
-        out = [x * m << shift for x in src]
-    for src, m, shift in rest:
-        if m == 1:
-            out = [a + (x << shift) for a, x in zip(out, src)]
+class OperatorPlan(list):
+    """One operator's numerator rows (the list itself) and what products need of them.
+
+    ``norm`` is ``||op||``, the largest row sum of coefficient 1-norms;
+    ``den_norm`` is ``||op.den||_1``; ``low`` is the least exponent among the
+    entries.  :meth:`packed` gives the packed terms at one width.
+    """
+
+    __slots__ = ("den", "norm", "den_norm", "low", "_widths")
+
+    def __init__(self, op: BlockOperator):
+        super().__init__([{} for _ in range(op.dim)])
+        singlet: dict[SignedMonomial, LaurentPoly] = {}  # one numerator per eigenvalue
+        for idx, e in op.singlets:
+            if e not in singlet:
+                singlet[e] = op.den.shift(e.exponent) * e.sign
+            self[idx][idx] = singlet[e]
+        for (i, j), b in op.doublets:
+            self[i][i], self[i][j], self[j][i], self[j][j] = b.r11, b.r12, b.r21, b.r22
+        self.den = op.den
+        self.norm = max(sum(_norm(p) for p in row.values()) for row in self)
+        self.den_norm = _norm(op.den)
+        self.low = min(p.min_exp for row in self for p in row.values())
+        self._widths: dict[int, tuple[Terms, Terms]] = {}
+
+    def packed(self, width: int) -> tuple[Terms, Terms]:
+        """The entries' terms, and those of ``den`` (none if it is 1), at q = 2**width."""
+        found = self._widths.get(width)
+        if found is None:
+            if len(self._widths) >= PLAN_WIDTHS:
+                del self._widths[next(iter(self._widths))]
+            entry: dict[LaurentPoly, list[tuple[int, int]]] = {}  # equal entries share ints
+            terms: list[int] = []
+            for k, row in enumerate(self):
+                for c, p in row.items():
+                    if p not in entry:
+                        entry[p] = _terms(p, self.low, width)
+                    for m, shift in entry[p]:
+                        terms += (c, k, m, shift)
+            den: list[int] = []
+            if not self.den.is_one():
+                for m, shift in _terms(self.den, self.den.min_exp, width):
+                    den += (0, 0, m, shift)
+            found = self._widths[width] = (tuple(terms), tuple(den))
+        return found
+
+
+def _apply(cols: list[list[int]], terms: Terms) -> list[list[int]]:
+    """The columns of P * B, P given by ``cols`` and B by its terms at the same width.
+
+    Column c of the result sums ``multiplier * cols[row] << shift`` over B's
+    terms in column c; a multiplier of +-1 is a signed shift.
+    """
+    out: list[list[int] | None] = [None] * len(cols)
+    it = iter(terms)
+    for c, k, m, shift in zip(it, it, it, it):
+        src, acc = cols[k], out[c]
+        if acc is None:
+            if m == 1:
+                out[c] = [x << shift for x in src]
+            elif m == -1:
+                out[c] = [-x << shift for x in src]
+            else:
+                out[c] = [x * m << shift for x in src]
+        elif m == 1:
+            out[c] = [a + (x << shift) for a, x in zip(acc, src)]
         elif m == -1:
-            out = [a - (x << shift) for a, x in zip(out, src)]
+            out[c] = [a - (x << shift) for a, x in zip(acc, src)]
         else:
-            out = [a + (x * m << shift) for a, x in zip(out, src)]
+            out[c] = [a + (x * m << shift) for a, x in zip(acc, src)]
     return out
 
 
@@ -292,7 +367,7 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
 
     ``columns[c][r]`` is ``pack`` of entry (r, c) over ``q**min_exp``; the
     denominator is the decoded product of the operators' ``den``.  Calls
-    ``numerator_rows`` once per operator.
+    ``numerator_rows`` once per operator, for its plan.
 
     Width bound: let ``||p||_1`` be the sum of the absolute values of p's
     coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
@@ -310,28 +385,22 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
     if len(dims) != 1:
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
     dim = ops[0].dim
-    mats = [op.numerator_rows() for op in ops]
-    bound, den_bound = dim, 1
-    for op, rows in zip(ops, mats):
-        bound *= max(sum(_norm(p) for p in row.values()) for row in rows)
-        den_bound *= _norm(op.den)
+    plans = [op.numerator_rows() for op in ops]
+    bound = dim * math.prod([plan.norm for plan in plans])
+    den_bound = math.prod([plan.den_norm for plan in plans])
     width = 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
-    den = [1]
+    den = [[1]]
     min_exp = den_exp = 0
-    for op, rows in zip(ops, mats):
-        low = min(p.min_exp for row in rows for p in row.values())
-        terms: list[list[Term]] = [[] for _ in range(dim)]
-        for k, row in enumerate(rows):
-            for c, p in row.items():
-                terms[c] += _terms(cols[k], p, low, width)
-        cols = [_combine(col) for col in terms]
-        min_exp += low
-        if not op.den.is_one():
-            den = _combine(_terms(den, op.den, op.den.min_exp, width))
-            den_exp += op.den.min_exp
-    return cols, width, min_exp, unpack(den[0], width, den_exp)
+    for plan in plans:
+        terms, den_terms = plan.packed(width)
+        cols = _apply(cols, terms)
+        min_exp += plan.low
+        if den_terms:
+            den = _apply(den, den_terms)
+            den_exp += plan.den.min_exp
+    return cols, width, min_exp, unpack(den[0][0], width, den_exp)
 
 
 def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, LaurentPoly]:

@@ -15,6 +15,22 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from .braid import BraidError
+
+# The most strands the engine evaluates.  Its cost grows as 2^(m-1), the size
+# of the path bases: the fundamental invariant of a random 33-letter 10-strand
+# knot takes 16 s on one Xeon core, and 12 strands take minutes, so larger
+# counts are refused up front, before any path basis is built.
+MAX_STRANDS = 10
+
+
+class StrandBudgetError(BraidError):
+    """A strand count above MAX_STRANDS, whose path bases are too large to evaluate.
+
+    Every evaluation and operator identity builds its path bases through
+    :func:`enumerate_paths`, which raises it.
+    """
+
 
 @dataclass(frozen=True, order=True)
 class Hook:
@@ -182,9 +198,15 @@ class Path:
 def enumerate_paths(graph: HookGraph, target_k: int) -> tuple[Path, ...]:
     """All paths ending at vertex ``target_k`` of the top level, in lexicographic order.
 
-    There are C(levels - 1, target_k) of them.
+    There are C(levels - 1, target_k) of them.  A graph of more than
+    MAX_STRANDS levels raises :class:`StrandBudgetError`, whatever the target.
     """
-    steps = graph.levels - 1
+    m = graph.levels
+    if m > MAX_STRANDS:
+        raise StrandBudgetError(
+            f"{m} strands is above the limit of {MAX_STRANDS}: the largest path basis "
+            f"would hold {comb(m - 1, (m - 1) // 2)} paths")
+    steps = m - 1
     if not 0 <= target_k <= steps:
         raise ValueError(f"target vertex {target_k} outside 0..{steps}")
     paths = tuple(Path(bits) for bits in itertools.product((0, 1), repeat=steps)

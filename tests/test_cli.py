@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -167,6 +168,26 @@ def test_table_without_a_knot_is_usage_error(capsys, braids):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error: --braids:")
+
+
+_WIDE_KNOT = " ".join(str(g) for g in range(1, 30))  # closes to a knot on 30 strands
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--strands", "30", "--braid", _WIDE_KNOT, "--arm", "0", "--leg", "0"],
+    ["check-theorem", "--strands", "30", "--braid", _WIDE_KNOT, "--arm", "1", "--leg", "0"],
+    ["verify-oracle", "--strands", "30", "--braid", _WIDE_KNOT],
+    ["table", "--braids", f"{_WIDE_KNOT}@30"],
+    ["check-yb", "--strands", "30", "--arm", "0", "--leg", "0"],
+    ["eval", "--strands", "11", "--braid", "1 2 3 4 5 6 7 8 9 10", "--arm", "0", "--leg", "0"],
+])
+def test_oversized_strand_count_is_usage_error(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error:") and "strands" in err and "path basis" in err
 
 
 @pytest.mark.parametrize("entry", ["1 1 1", "1 1 1@two", "1 q@2", "3@2"])

@@ -1,8 +1,11 @@
+import itertools
+import random
+
 import pytest
 
-from hookalex.braid import NotAKnotError, markov_variants, parse_braid
+from hookalex.braid import BraidWord, NotAKnotError, markov_variants, parse_braid
 from hookalex.laurent import LaurentPoly
-from hookalex.oracle import burau_alexander, burau_matrix, reduced_burau
+from hookalex.oracle import _det, burau_alexander, burau_matrix, reduced_burau
 
 from conftest import random_knot_braids
 
@@ -44,6 +47,59 @@ def test_word_matrix_composes():
     expected = _matmul(_matmul(reduced_burau(1, 3), reduced_burau(-2, 3)),
                        reduced_burau(1, 3))
     assert burau_matrix(b) == expected
+
+
+def test_column_updates_match_dense_product():
+    rng = random.Random(20241018)
+    for m in range(2, 8):
+        for _ in range(4):
+            letters = [rng.choice((1, -1)) * rng.randint(1, m - 1)
+                       for _ in range(rng.randint(1, 3 * m))]
+            b = BraidWord(m, tuple(letters))
+            expected = _identity(m - 1)
+            for g in letters:
+                expected = _matmul(expected, reduced_burau(g, m))
+            assert burau_matrix(b) == expected
+
+
+# -- the determinant ----------------------------------------------------------------
+
+def _leibniz(mat):
+    """Sum over permutations, each signed by its inversion count."""
+    n = len(mat)
+    total = LaurentPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = LaurentPoly.constant(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term = term * mat[row][col]
+        total = total + term
+    return total
+
+
+def _random_poly(rng):
+    if rng.random() < 0.3:
+        return LaurentPoly.zero()
+    return LaurentPoly(rng.randint(-2, 2), [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+
+def test_bareiss_determinant_matches_leibniz():
+    rng = random.Random(20241019)
+    swapped = singular = 0
+    for n in range(1, 5):
+        for _ in range(25):
+            mat = [[_random_poly(rng) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:  # a zero pivot that needs a row swap
+                mat[0][0] = LaurentPoly.zero()
+                swapped += 1
+            if n > 1 and rng.random() < 0.2:  # a repeated row makes the matrix singular
+                mat[-1] = list(mat[0])
+                singular += 1
+            assert _det(mat) == _leibniz(mat)
+    # a first column of zeros leaves no pivot to swap in
+    assert _det([[LaurentPoly.zero(), LaurentPoly.one()],
+                 [LaurentPoly.zero(), LaurentPoly.one()]]).is_zero()
+    assert swapped and singular
 
 
 # -- Alexander values -----------------------------------------------------------------

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
 from hookalex.laurent import LaurentPoly, qnum, qnum_bullet
-from hookalex.rmatrix import (SignedMonomial, assemble_R, commutation_holds, doublet_block,
+from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, SignedMonomial, assemble_R,
+                              commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
                               product_numerators, symmetric_operator_numeric,
                               trace_product, trace_product_numeric,
@@ -240,6 +244,88 @@ def test_packed_trace_multiplies_no_polynomials(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", scalar_only)
     monkeypatch.setattr(LaurentPoly, "__rmul__", scalar_only)
     assert [tuple(trace_product(ops)) for ops in products] == expected
+
+
+# -- operator plans ------------------------------------------------------------------------
+
+def _norm(p):
+    return sum(abs(c) for c in p.coeffs)
+
+
+def test_plan_matches_its_rows():
+    for m in range(2, 6):
+        for h in hooks_up_to_size(3):
+            g = HookGraph(h, m)
+            for k in range(m):
+                for i in range(1, m):
+                    for inverse in (False, True):
+                        op = assemble_R(g, k, i, inverse)
+                        plan = op.numerator_rows()
+                        assert plan.norm == max(sum(_norm(p) for p in row.values())
+                                                for row in plan)
+                        assert plan.den_norm == _norm(op.den)
+                        assert plan.low == min(p.min_exp for row in plan for p in row.values())
+
+
+def _fresh(ops):
+    """Copies of the operators, equal to them but with no plan built yet."""
+    copies = {id(op): replace(op) for op in ops}
+    return [copies[id(op)] for op in ops]
+
+
+def test_repeated_product_packs_nothing(monkeypatch):
+    g = HookGraph(Hook(0, 0), 4)
+    ops = _fresh([assemble_R(g, 1, abs(x), x < 0) for x in (1, -2, 3, 2, -1, 3, 2)])
+    counts = Counter()
+    pack, shift = rmatrix.pack, LaurentPoly.shift
+
+    def counted_pack(p, width):
+        counts["pack"] += 1
+        return pack(p, width)
+
+    def counted_shift(p, k):
+        counts["shift"] += 1  # how a singlet's numerator is built from den
+        return shift(p, k)
+
+    monkeypatch.setattr(rmatrix, "pack", counted_pack)
+    monkeypatch.setattr(LaurentPoly, "shift", counted_shift)
+    first = trace_product(ops)
+    assert counts["pack"] and counts["shift"]
+    counts.clear()
+    assert trace_product(ops) == first
+    assert not counts
+
+
+def test_products_call_numerator_rows_once_per_operator(monkeypatch):
+    g = HookGraph(Hook(1, 0), 4)
+    ops = [assemble_R(g, 2, abs(x), x < 0) for x in (1, 2, 1, -3, 2, 2)]
+    calls = []
+    numerator_rows = BlockOperator.numerator_rows
+
+    def counted(op):
+        calls.append(op)
+        return numerator_rows(op)
+
+    monkeypatch.setattr(BlockOperator, "numerator_rows", counted)
+    for product in (trace_product, product_numerators, trace_product):
+        calls.clear()
+        product(ops)
+        assert calls == ops
+
+
+def test_plan_width_memo_is_bounded():
+    g = HookGraph(Hook(1, 0), 3)
+    op, = _fresh([assemble_R(g, 1, 2)])
+    widths = set()
+    for n in range(1, 12 * PLAN_WIDTHS):
+        ops = [op] * n
+        t = trace_product(ops)
+        widths.add(rmatrix._packed_product(ops)[1])
+        assert len(op.numerator_rows()._widths) <= PLAN_WIDTHS
+        if n % 5 == 0:
+            dense, dense_den = _dense_product(ops)
+            assert t.num == dense[0][0] + dense[1][1] and t.den == dense_den
+    assert len(widths) > PLAN_WIDTHS
 
 
 # -- operator identities --------------------------------------------------------------------

@@ -1,7 +1,11 @@
+from math import comb
+
 import pytest
 
-from hookalex.young import (Hook, HookGraph, Partition, enumerate_paths,
-                            hook_tensor_onehook, hooks_up_to_size, partitions_of)
+from hookalex.braid import BraidError
+from hookalex.young import (MAX_STRANDS, Hook, HookGraph, Partition, StrandBudgetError,
+                            enumerate_paths, hook_tensor_onehook, hooks_up_to_size,
+                            partitions_of)
 
 
 # -- hooks and tensor rule -------------------------------------------------------
@@ -95,6 +99,16 @@ def test_path_out_of_range():
         enumerate_paths(g, 3)
     with pytest.raises(ValueError):
         enumerate_paths(g, -1)
+
+
+def test_strand_budget():
+    assert len(enumerate_paths(HookGraph(Hook(0, 0), MAX_STRANDS), 0)) == 1
+    m = MAX_STRANDS + 1
+    with pytest.raises(StrandBudgetError) as exc:
+        enumerate_paths(HookGraph(Hook(1, 0), m), 0)
+    assert isinstance(exc.value, BraidError)
+    assert f"{m} strands" in str(exc.value)
+    assert str(comb(m - 1, (m - 1) // 2)) in str(exc.value)
 
 
 def test_path_counts_pascal_recurrence():
