@@ -11,7 +11,7 @@ import argparse
 import time
 
 from hookalex.rmatrix import commutation_holds, yang_baxter_holds
-from hookalex.young import HookGraph, hooks_up_to_size
+from hookalex.young import HookGraph, StrandBudgetError, check_strands, hooks_up_to_size
 
 
 def main() -> int:
@@ -23,6 +23,10 @@ def main() -> int:
         ap.error(f"--max-hook-size: must be at least 1, got {args.max_hook_size}")
     if args.max_strands < 3:
         ap.error(f"--max-strands: Yang-Baxter needs at least 3 strands, got {args.max_strands}")
+    try:
+        check_strands(args.max_strands)
+    except StrandBudgetError as exc:
+        ap.error(f"--max-strands: {exc}")
 
     checks = failures = 0
     t0 = time.perf_counter()

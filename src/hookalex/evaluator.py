@@ -8,13 +8,18 @@ assembled as
 
 with ``phi`` the per-crossing framing factor, ``+-1 / [m]_N`` the closed-form
 quantum-dimension weight (:func:`hookalex.schur.hook_weight`) and ``[i]_N``
-the q-number at q -> q^N.  Each trace is an integer numerator over a product
-of bullet q-numbers ``[i]_N``, one per operator with a doublet, so every term
-of the sum has a denominator known as a multiset of bullet levels.  The terms
-are lifted to the per-level maximum of those multisets and added as integer
-Laurent polynomials; a single exact division by that common denominator
-finishes the sum.  It always divides out to an integer Laurent polynomial; a
-failure to divide is an internal inconsistency, never user error.  The
+the q-number at q -> q^N.  Each vertex's operators are assembled once per
+distinct letter.  The kernel returns each trace as an integer numerator over
+its own denominator, the product of the operators' ``den``: ``[|g|]_N`` for
+a letter whose operator has a doublet, else 1.  Every letter with ``|g| >= 2``
+has a doublet at every interior vertex (``0 < k < m - 1``), and no letter
+has one at the two end vertices, so each denominator divides the widest one,
+which serves as the common denominator.  Each term is lifted to it by one
+exact quotient per distinct denominator and the terms are added as integer
+Laurent polynomials; a single exact division by ``[m]_N`` times the common
+denominator finishes the sum.  It always divides out to an integer Laurent
+polynomial; a failure to lift or to divide is an internal inconsistency,
+never user error, and a failed lift names its vertex.  The
 polynomial is finally normalized by the unit ``+-q^j`` that centers its
 exponent range and makes its value at q = 1 equal to +1 (the invariant is
 classically defined only up to such units, and the strict framing correction
@@ -23,11 +28,10 @@ leaves a residual sign (-1)^(leg * writhe) which this absorbs).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
-from .laurent import LaurentPoly, exact_div, qnum_bullet
+from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
 from .rmatrix import assemble_R, framing_factor, trace_product
 from .schur import hook_weight
 from .young import Hook, HookGraph
@@ -69,16 +73,6 @@ class AlexanderResult:
     denominator: LaurentPoly
 
 
-def _bullet_product(levels: Counter, size: int) -> LaurentPoly:
-    """The product of ``[i]_size ** levels[i]`` over the levels."""
-    p = LaurentPoly.one()
-    for i, count in levels.items():
-        bullet = qnum_bullet(i, size)
-        for _ in range(count):
-            p = bullet * p
-    return p
-
-
 def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     """The colored Alexander polynomial of the knot closure of ``b``.
 
@@ -89,33 +83,32 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
         raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
     m = b.strands
     graph = HookGraph(color, m)
+    letters = set(b.letters)
     terms = []
     for k in range(m):
         vertex = graph.vertex(m, k)
         sign, _ = hook_weight(color, vertex)  # the weight is sign / [m]_N at every vertex
-        ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]
-        # the trace's denominator is the product of op.den = [|g|]_N over doublet operators
-        levels = Counter(abs(g) for g, op in zip(b.letters, ops) if op.doublets)
-        terms.append((vertex, sign, trace_product(ops).num, levels))
-    common: Counter = Counter()
-    for *_, levels in terms:
-        common |= levels
-    # vertices with equal deficits (the two singlet-only end vertices) share one product
-    products: dict[frozenset, LaurentPoly] = {}
-
-    def lift(deficit: Counter) -> LaurentPoly:
-        key = frozenset(deficit.items())
-        if key not in products:
-            products[key] = _bullet_product(deficit, color.size)
-        return products[key]
-
-    contributions = tuple((vertex, lift(common - levels) * num * sign)
-                          for vertex, sign, num, levels in terms)
+        op = {g: assemble_R(graph, k, abs(g), g < 0) for g in letters}
+        terms.append((vertex, sign, trace_product([op[g] for g in b.letters])))
+    # every vertex's den divides the widest one (see the module docstring)
+    common = max((t.den for *_, t in terms), key=lambda den: den.degree() - den.min_exp)
+    lifts = {common: LaurentPoly.one()}
+    contributions = []
+    for k, (vertex, sign, (num, den)) in enumerate(terms):
+        if den not in lifts:
+            try:
+                lifts[den] = exact_div(common, den)
+            except InexactDivisionError as exc:
+                raise InexactDivisionError(
+                    f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
+                    f"does not divide the common one ({common.summary()})") from exc
+        lift = lifts[den]
+        contributions.append((vertex, (num if lift.is_one() else lift * num) * sign))
     total = sum((num for _, num in contributions), LaurentPoly.zero())
-    denominator = qnum_bullet(m, color.size) * lift(common)
+    denominator = qnum_bullet(m, color.size) * common
     correction = framing_factor(color) ** (-b.writhe)
     poly = exact_div(total, denominator).shift(correction.exponent) * correction.sign
-    return AlexanderResult(unit_normalize(poly), color, b, contributions, denominator)
+    return AlexanderResult(unit_normalize(poly), color, b, tuple(contributions), denominator)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,9 @@ integer-polynomial matrix over one bullet q-number.
 Products run packed: every numerator is evaluated at q = 2^w (Kronecker
 substitution), the matrix product runs on Python ints, with +-q^e entries as
 signed shifts, and the trace is decoded into a Laurent polynomial once.  The
-width w is derived from the operators so that the decoding is exact (see
+width w is proven from the operators so that the decoding is exact: a row
+norm bound first, and where that asks for more than the least width, the
+column sums of entry 1-norms carried through the product (see
 ``_packed_product``).  Each operator is compiled once, the first time it
 enters a product, into a plan (:class:`OperatorPlan`): its numerator rows,
 the norms the width bound needs and its least exponent, plus its packed
@@ -253,7 +255,7 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # two entries.  The denominator product, a 1 x 1 product, runs the same way.
 #
 # What a product needs of one operator is compiled once, into the operator's
-# plan (:class:`OperatorPlan`): its rows, the two norms of the width bound and
+# plan (:class:`OperatorPlan`): its rows, the norms of the width bounds and
 # low.  The packed terms depend on the width too, so each plan memoizes them
 # for its last PLAN_WIDTHS widths.  A product then only looks its operators'
 # terms up and shifts and adds.
@@ -266,9 +268,11 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 SPREAD_BITS_PER_TERM = 128
 
 # Widths at which each plan keeps its packed terms.  The width follows the
-# norm of the whole product in steps of 8 bits, so the products of one
-# operator visit few widths: up to 5 per operator over the fund-wide benchmark
-# corpus and 8 over long-braid.  Past this bound the oldest width is dropped.
+# bound on the whole product in steps of 8 bits, so the products of one
+# operator visit few widths: with the column bound, up to 4 per operator over
+# the fund-wide benchmark corpus, 6 over long-braid and 3 over colored-scaling
+# (5, 8 and 3 under the scalar bound alone).  Past this bound the oldest width
+# is dropped.
 PLAN_WIDTHS = 8
 
 # An operator's terms at one width, flat: column, row, multiplier, shift,
@@ -293,11 +297,13 @@ class OperatorPlan(list):
     """One operator's numerator rows (the list itself) and what products need of them.
 
     ``norm`` is ``||op||``, the largest row sum of coefficient 1-norms;
-    ``den_norm`` is ``||op.den||_1``; ``low`` is the least exponent among the
-    entries.  :meth:`packed` gives the packed terms at one width.
+    ``col_norms`` holds the 1-norm of every entry, flat as column, row, norm,
+    column, row, norm, ...; ``den_norm`` is ``||op.den||_1``; ``low`` is the
+    least exponent among the entries.  :meth:`packed` gives the packed terms
+    at one width.
     """
 
-    __slots__ = ("den", "norm", "den_norm", "low", "_widths")
+    __slots__ = ("den", "norm", "col_norms", "den_norm", "low", "_widths")
 
     def __init__(self, op: BlockOperator):
         super().__init__([{} for _ in range(op.dim)])
@@ -309,7 +315,10 @@ class OperatorPlan(list):
         for (i, j), b in op.doublets:
             self[i][i], self[i][j], self[j][i], self[j][j] = b.r11, b.r12, b.r21, b.r22
         self.den = op.den
-        self.norm = max(sum(_norm(p) for p in row.values()) for row in self)
+        norms = [{c: _norm(p) for c, p in row.items()} for row in self]
+        self.norm = max(sum(row.values()) for row in norms)
+        self.col_norms = tuple(x for r, row in enumerate(norms) for c, n in row.items()
+                               for x in (c, r, n))
         self.den_norm = _norm(op.den)
         self.low = min(p.min_exp for row in self for p in row.values())
         self._widths: dict[int, tuple[Terms, Terms]] = {}
@@ -362,6 +371,27 @@ def _apply(cols: list[list[int]], terms: Terms) -> list[list[int]]:
     return out
 
 
+def _width(bound: int) -> int:
+    """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def _column_bound(plans: Sequence[OperatorPlan]) -> int:
+    """``sum_c u_c``, with ``u`` the column sums of entry 1-norms carried through the product.
+
+    It bounds every coefficient of every entry and of the trace of the
+    product (see :func:`_packed_product`).
+    """
+    u = [1] * len(plans[0])
+    for plan in plans:
+        nxt = [0] * len(u)
+        it = iter(plan.col_norms)
+        for c, r, n in zip(it, it, it):
+            nxt[c] += u[r] * n
+        u = nxt
+    return sum(u)
+
+
 def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int, int, LaurentPoly]:
     """The ordered product at q = 2**width as (columns, width, min_exp, denominator).
 
@@ -371,13 +401,24 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
 
     Width bound: let ``||p||_1`` be the sum of the absolute values of p's
     coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
-    ||A_rc||_1``.  Then every coefficient of the trace is at most
-    ``dim * prod ||op||``, and every coefficient of the denominator at most
-    ``prod ||op.den||_1``.  Proof: ``||pq||_1 <= ||p||_1 ||q||_1`` makes the
-    norm submultiplicative, a coefficient is at most its entry's 1-norm, and
-    the trace sums ``dim`` entries of one product.  ``width`` is the least
-    multiple of 8 with ``2**(width - 1)`` above both bounds, which is what
-    makes :func:`hookalex.laurent.unpack` exact.
+    ||A_rc||_1``.  Every coefficient of the denominator is at most
+    ``prod ||op.den||_1``, and every coefficient of an entry or of the trace
+    at most ``dim * prod ||op||`` (the scalar bound) and at most
+    :func:`_column_bound`.  Proofs: ``||pq||_1 <= ||p||_1 ||q||_1``, and a
+    coefficient is at most its polynomial's 1-norm.  For the scalar bound,
+    the norm is then submultiplicative, and the trace sums ``dim`` entries of
+    one product.  For the column bound, let ``P`` be the running product and
+    ``u_c`` a bound on ``sum_r ||P_rc||_1``, 1 for the identity.  Since
+    ``(PB)_rc = sum_j P_rj B_jc``, summing over ``r`` gives ``sum_r
+    ||(PB)_rc||_1 <= sum_j u_j ||B_jc||_1``, the next ``u_c``.  So each entry
+    of column ``c`` is bounded by ``u_c``, and the trace, one entry per column,
+    by ``sum_c u_c``.  That sum is at most the scalar bound (``u`` is the row
+    vector of ones times the product of the matrices of entry 1-norms, whose
+    row sums are the ``||op||``), so the column bound never widens a product.
+    ``width`` is the least multiple of 8 with ``2**(width - 1)`` above the
+    bounds, which is what makes :func:`hookalex.laurent.unpack` exact.  The
+    column bound costs a pass over the plans, so it is taken only when the
+    scalar bound asks for more than the least width, 8 bits.
     """
     if not ops:
         raise ValueError("empty operator product")
@@ -386,9 +427,10 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
     dim = ops[0].dim
     plans = [op.numerator_rows() for op in ops]
-    bound = dim * math.prod([plan.norm for plan in plans])
     den_bound = math.prod([plan.den_norm for plan in plans])
-    width = 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
+    width = _width(max(dim * math.prod([plan.norm for plan in plans]), den_bound))
+    if width > 8:
+        width = _width(max(_column_bound(plans), den_bound))
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
     den = [[1]]

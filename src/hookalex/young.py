@@ -28,8 +28,16 @@ class StrandBudgetError(BraidError):
     """A strand count above MAX_STRANDS, whose path bases are too large to evaluate.
 
     Every evaluation and operator identity builds its path bases through
-    :func:`enumerate_paths`, which raises it.
+    :func:`enumerate_paths`, which raises it through :func:`check_strands`.
     """
+
+
+def check_strands(m: int) -> None:
+    """Raise :class:`StrandBudgetError` if ``m`` strands is above MAX_STRANDS."""
+    if m > MAX_STRANDS:
+        raise StrandBudgetError(
+            f"{m} strands is above the limit of {MAX_STRANDS}: the largest path basis "
+            f"would hold {comb(m - 1, (m - 1) // 2)} paths")
 
 
 @dataclass(frozen=True, order=True)
@@ -202,10 +210,7 @@ def enumerate_paths(graph: HookGraph, target_k: int) -> tuple[Path, ...]:
     MAX_STRANDS levels raises :class:`StrandBudgetError`, whatever the target.
     """
     m = graph.levels
-    if m > MAX_STRANDS:
-        raise StrandBudgetError(
-            f"{m} strands is above the limit of {MAX_STRANDS}: the largest path basis "
-            f"would hold {comb(m - 1, (m - 1) // 2)} paths")
+    check_strands(m)
     steps = m - 1
     if not 0 <= target_k <= steps:
         raise ValueError(f"target vertex {target_k} outside 0..{steps}")

@@ -5,9 +5,10 @@ import pytest
 from hookalex.braid import NotAKnotError, closure_is_knot, markov_variants, parse_braid
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
-from hookalex.laurent import LaurentPoly, RationalFunc, exact_div
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc, exact_div,
+                              qnum_bullet)
 from hookalex.oracle import burau_alexander
-from hookalex.rmatrix import framing_factor
+from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.young import Hook
 
 TREFOIL = parse_braid("1 1 1", 2)
@@ -86,6 +87,80 @@ def test_vertex_sum_constructs_no_rational_function(monkeypatch):
     expected = alexander(Hook(0, 0), b).polynomial.substitute_power(4)
     monkeypatch.setattr(RationalFunc, "__init__", refuse)
     assert alexander(Hook(2, 1), b).polynomial == expected
+
+
+def _random_knot(rng, strands, length):
+    gens = [g for i in range(1, strands) for g in (i, -i)]
+    while True:
+        b = parse_braid(" ".join(str(rng.choice(gens)) for _ in range(length)), strands)
+        if closure_is_knot(b):
+            return b
+
+
+def test_operators_assembled_once_per_distinct_letter(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return assemble_R(*args)
+
+    monkeypatch.setattr("hookalex.evaluator.assemble_R", counted)
+    for b in (FIGURE8, _random_knot(random.Random(3), 4, 61), torus_braid(3, 31)):
+        for h in (Hook(0, 0), Hook(2, 1)):
+            calls.clear()
+            alexander(h, b)
+            assert 0 < len(calls) <= b.strands * len(set(b.letters))
+
+
+def test_vertex_sum_multiplications_do_not_grow_with_length(monkeypatch):
+    rng = random.Random(11)
+    short, long = _random_knot(rng, 3, 40), _random_knot(rng, 3, 160)
+    for b in (short, long):  # warm the operator caches
+        alexander(Hook(1, 0), b)
+    count = [0]
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        count[0] += isinstance(other, LaurentPoly)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", counted)
+    counts = []
+    for b in (short, long):
+        count[0] = 0
+        alexander(Hook(1, 0), b)
+        counts.append(count[0])
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("hook", [Hook(0, 0), Hook(1, 1), Hook(2, 1)])
+def test_denominator_is_the_product_of_bullets(hook):
+    for b in (TREFOIL, FIGURE8, parse_braid("1 -2 3 -2 1 2 -3", 4), torus_braid(3, 7)):
+        expected = qnum_bullet(b.strands, hook.size)
+        for g in b.letters:
+            if abs(g) >= 2:
+                expected = expected * qnum_bullet(abs(g), hook.size)
+        assert alexander(hook, b).denominator == expected
+
+
+def test_failed_lift_names_the_vertex(monkeypatch):
+    b = torus_braid(3, 31)
+    common = exact_div(alexander(Hook(2, 1), b).denominator, qnum_bullet(3, 4))
+    traces = []
+
+    def patched(ops):  # vertex 0's denominator becomes 2, which does not divide common
+        traces.append(trace_product(ops))
+        t = traces[-1]
+        return t._replace(den=LaurentPoly.constant(2)) if len(traces) == 1 else t
+
+    monkeypatch.setattr("hookalex.evaluator.trace_product", patched)
+    with pytest.raises(InexactDivisionError) as exc:
+        alexander(Hook(2, 1), b)
+    message = str(exc.value)
+    assert "vertex k=0" in message and len(message) < 300
+    assert LaurentPoly.constant(2).summary() in message
+    assert common.summary() in message
 
 
 def test_value_at_one_is_one(knots):

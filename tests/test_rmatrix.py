@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -204,6 +206,47 @@ def _seeded_products():
                 yield [assemble_R(g, k, abs(x), x < 0) for x in letters]
 
 
+def _deep_products():
+    """Every vertex of T(3,31) and of a seeded 100-letter 3-strand knot, hooks (0,0) and (2,1)."""
+    rng = random.Random(100)
+    while True:
+        knot = parse_braid(" ".join(str(rng.choice((1, -1, 2, -2))) for _ in range(100)), 3)
+        if closure_is_knot(knot):
+            break
+    for b in (parse_braid("1 2 " * 31, 3), knot):
+        for h in (Hook(0, 0), Hook(2, 1)):
+            g = HookGraph(h, 3)
+            for k in range(3):
+                yield [assemble_R(g, k, abs(x), x < 0) for x in b.letters]
+
+
+def _scalar_width(ops):
+    """The width from ``dim * prod ||op||`` and ``prod ||op.den||_1`` alone."""
+    plans = [op.numerator_rows() for op in ops]
+    bound = ops[0].dim * math.prod(plan.norm for plan in plans)
+    den_bound = math.prod(plan.den_norm for plan in plans)
+    return 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
+
+
+def test_column_bound_bounds_every_coefficient():
+    for ops in itertools.chain(_seeded_products(), _deep_products()):
+        bound = rmatrix._column_bound([op.numerator_rows() for op in ops])
+        dense, _ = _dense_product(ops)
+        largest = max(abs(c) for row in dense for p in row for c in p.coeffs)
+        assert largest <= bound
+        trace = sum((dense[i][i] for i in range(len(dense))), LaurentPoly.zero())
+        assert max(map(abs, trace.coeffs), default=0) <= bound
+
+
+def test_width_never_above_scalar_bound_width():
+    narrower = 0
+    for ops in itertools.chain(_seeded_products(), _deep_products()):
+        width, scalar = rmatrix._packed_product(ops)[1], _scalar_width(ops)
+        assert width <= scalar
+        narrower += width < scalar
+    assert narrower  # the column bound does narrow some products
+
+
 def test_product_numerators_match_dense_product():
     zero = LaurentPoly.zero()
     for ops in _seeded_products():
@@ -265,6 +308,10 @@ def test_plan_matches_its_rows():
                                                 for row in plan)
                         assert plan.den_norm == _norm(op.den)
                         assert plan.low == min(p.min_exp for row in plan for p in row.values())
+                        it = iter(plan.col_norms)
+                        norms = {(r, c): n for c, r, n in zip(it, it, it)}
+                        assert norms == {(r, c): _norm(p) for r, row in enumerate(plan)
+                                         for c, p in row.items()}
 
 
 def _fresh(ops):

@@ -1,4 +1,4 @@
-"""The sweep scripts refuse sweeps that would check nothing."""
+"""The sweep scripts refuse sweeps that would check nothing or exceed the strand limit."""
 
 import os
 import subprocess
@@ -30,6 +30,20 @@ def test_empty_sweep_is_usage_error(name, argv, flag):
     assert proc.returncode == 2
     assert "checked" not in proc.stdout and "all equal" not in proc.stdout
     assert flag in proc.stderr
+
+
+@pytest.mark.parametrize("name,argv,flag", [
+    ("scaling_sweep.py", ["--max-hook-size", "1", "--braids", "1 2 3 4 5 6 7 8 9 10@11"],
+     "--braids"),
+    ("scaling_sweep.py", ["--max-hook-size", "1", "--braids", "1 1 1@2;1 2 3 4 5 6 7 8 9 10@11"],
+     "--braids"),
+    ("yb_sweep.py", ["--max-strands", "11"], "--max-strands"),
+])
+def test_sweep_above_strand_limit_is_usage_error(name, argv, flag):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"{flag}: 11 strands is above the limit of 10" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_smallest_sweeps_run():
