@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Exhaustive Yang-Baxter / far-commutativity sweep over hooks and strand counts.
+"""Exhaustive Yang-Baxter / far-commutativity / transposition sweep over hooks and strand counts.
 
 The doublet entries are pinned by trace, determinant, and one Yang-Baxter
 component; this sweep confirms the full operator identities hold for every
 target vertex, which is the strongest internal consistency check the engine
-has.
+has.  It also checks, for every crossing and both directions, the
+transposition identity (q -> -q^-1 with paths flipped) that lets the
+evaluator mirror half the vertices of a self-transpose color.
 """
 
 import argparse
 import time
 
-from hookalex.rmatrix import commutation_holds, yang_baxter_holds
+from hookalex.rmatrix import commutation_holds, transpose_holds, yang_baxter_holds
 from hookalex.young import HookGraph, StrandBudgetError, check_strands, hooks_up_to_size
 
 
@@ -45,6 +47,12 @@ def main() -> int:
                         if not commutation_holds(graph, k, i, j):
                             failures += 1
                             print(f"FAIL commute hook {h} m={m} k={k} ({i},{j})")
+                for i in range(1, m):
+                    for inverse in (False, True):
+                        checks += 1
+                        if not transpose_holds(graph, k, i, inverse):
+                            failures += 1
+                            print(f"FAIL transpose hook {h} m={m} k={k} i={i} inverse={inverse}")
     dt = time.perf_counter() - t0
     print(f"{checks} identities checked in {dt:.2f}s, {failures} failures")
     return 1 if failures else 0

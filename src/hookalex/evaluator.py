@@ -24,6 +24,43 @@ polynomial is finally normalized by the unit ``+-q^j`` that centers its
 exponent range and makes its value at q = 1 equal to +1 (the invariant is
 classically defined only up to such units, and the strict framing correction
 leaves a residual sign (-1)^(leg * writhe) which this absorbs).
+
+A self-transpose color (``arm == leg``, the fundamental color among them)
+needs operator products at only the vertices ``k`` with ``2k <= m - 1``: the
+trace at vertex ``m - 1 - k`` is the trace at vertex ``k`` under
+``omega: q -> -q^-1``.  Proof.  ``omega`` is a ring involution of the Laurent
+polynomials.  Let ``h = (a, l)``, ``h' = (l, a)`` its transpose,
+``s = (-1)^l`` and ``s' = (-1)^a``.  Both have size ``N = a + l + 1``, and
+``K(h') = -K(h)`` with ``K`` even (:mod:`hookalex.rmatrix`).
+
+- Eigenvalues: ``omega(s q^(K+N)) = s (-1)^N q^(-K-N) = -s' q^(-K-N)``, since
+  ``s (-1)^N = (-1)^(a+1)``.  So ``omega`` maps the arm eigenvalue of ``h``
+  to the leg eigenvalue of ``h'``, and the leg one to the arm one.
+- Bullet q-numbers: ``omega([n]_N) = (-1)^(N(n-1)) [n]_N``, since every
+  exponent of ``[n]_N`` has the parity of ``N(n-1)``.
+- Doublets: by the two facts above, ``omega(r11 / [n]_N)`` is ``r22 / [n]_N``
+  of ``h'``, ``omega(r22 / [n]_N)`` is ``r11 / [n]_N`` of ``h'``, and
+  ``omega(r12 r21 / [n]_N^2) = q^(-2K) [n+1]_N [n-1]_N / [n]_N^2`` is the
+  doublet product ``r12 r21 / [n]_N^2`` of ``h'``.
+- Paths: flipping every step (arm <-> leg) maps the paths to vertex ``k`` of
+  the graph of ``h`` onto those to vertex ``m - 1 - k`` of the graph of
+  ``h'`` and reverses their lexicographic order.  A path stepping arm-arm
+  through level ``i`` becomes one stepping leg-leg, and the arm-side member
+  of a doublet becomes the leg-side member.
+- Traces: so ``omega`` of each crossing operator of ``h`` at vertex ``k`` is
+  the same crossing operator of ``h'`` at vertex ``m - 1 - k``, paths
+  flipped, except that the two off-diagonal entries of a doublet may be
+  split differently.  A closed trace sees them only through ``r12 r21`` at
+  each level (the gauge argument in :mod:`hookalex.rmatrix`), hence
+  ``trace_k^h(q) = trace_(m-1-k)^h'(-q^-1)`` for every braid.
+
+For ``a = l``, ``h' = h``, ``K = 0`` and ``N = 2a + 1`` is odd, so ``omega``
+swaps the eigenvalues ``s q^N`` and ``-s q^-N``.  The two vertices also share
+their trace denominator, ``prod [|g|]_N`` over the letters with a doublet
+(flipping maps doublets to doublets), and ``omega`` maps it to ``+-`` itself.
+So the mirrored vertex's numerator is ``omega`` of the computed one with that
+sign folded in, over the same denominator, which is exactly what the
+operator product there would return.
 """
 
 from __future__ import annotations
@@ -32,7 +69,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
-from .rmatrix import assemble_R, framing_factor, trace_product
+from .rmatrix import Trace, assemble_R, framing_factor, trace_product
 from .schur import hook_weight
 from .young import Hook, HookGraph
 
@@ -55,6 +92,21 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     if v == -1:
         return -centered
     raise NormalizationError(f"value at q=1 is {v}, expected a unit")
+
+
+def _mirror(trace: Trace, k: int) -> Trace:
+    """The trace at vertex ``k`` of a self-transpose color from the one at ``m - 1 - k``.
+
+    It is ``trace`` at q -> -q^-1 over the same denominator (module docstring).
+    """
+    num, den = trace.num.substitute_neg_inverse(), trace.den.substitute_neg_inverse()
+    if den == -trace.den:
+        num = -num
+    elif den != trace.den:
+        raise InexactDivisionError(
+            f"vertex sum: the mirrored denominator of vertex k={k} ({den.summary()}) "
+            f"is not +-({trace.den.summary()})")
+    return Trace(num, trace.den)
 
 
 @dataclass(frozen=True)
@@ -88,8 +140,12 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     for k in range(m):
         vertex = graph.vertex(m, k)
         sign, _ = hook_weight(color, vertex)  # the weight is sign / [m]_N at every vertex
-        op = {g: assemble_R(graph, k, abs(g), g < 0) for g in letters}
-        terms.append((vertex, sign, trace_product([op[g] for g in b.letters])))
+        if color.arm == color.leg and 2 * k > m - 1:
+            trace = _mirror(terms[m - 1 - k][2], k)
+        else:
+            op = {g: assemble_R(graph, k, abs(g), g < 0) for g in letters}
+            trace = trace_product([op[g] for g in b.letters])
+        terms.append((vertex, sign, trace))
     # every vertex's den divides the widest one (see the module docstring)
     common = max((t.den for *_, t in terms), key=lambda den: den.degree() - den.min_exp)
     lifts = {common: LaurentPoly.one()}

@@ -9,7 +9,9 @@ of zeros.  The evaluator's single division of the
 vertex sum by its factored denominator goes through `exact_div`, which fails
 loudly if the division is not exact.  `pack` and `unpack` map a polynomial to
 its value at q = 2**width and back (Kronecker substitution); the operator
-product runs on such packed ints and decodes its result once.  `RationalFunc`
+product runs on such packed ints and decodes its result once.
+`LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
+traces of its mirrored vertices.  `RationalFunc`
 serves only the Schur oracle (quantum-dimension ratios and the Jacobi-Trudi
 determinant).
 """
@@ -212,6 +214,30 @@ class LaurentPoly:
         if self.is_zero():
             return self
         return _raw(-self.degree(), self.step, self.terms[::-1])
+
+    def substitute_neg_inverse(self) -> LaurentPoly:
+        """Substitute q -> -q**-1, the transposition symmetry of one-hook colors.
+
+        The terms are reversed, and the term at an odd exponent changes sign:
+        all of them or none when ``step`` is even, every other one when it is
+        odd.  The result is again canonical.
+
+        >>> LaurentPoly(-1, (2, 3, 0, 5)).substitute_neg_inverse()
+        LaurentPoly('-2q + 3 + 5q^-2')
+        >>> qnum_bullet(2, 3).substitute_neg_inverse()
+        LaurentPoly('-q^3 - q^-3')
+        """
+        if self.is_zero():
+            return self
+        terms = self.terms[::-1]
+        top = self.degree()
+        if self.step % 2 == 0:
+            if top % 2:
+                terms = tuple([-c for c in terms])
+        else:
+            # terms[j] sits at exponent -(top - j * step), odd when top + j is odd
+            terms = tuple([-c if (top + j) % 2 else c for j, c in enumerate(terms)])
+        return _raw(-top, self.step, terms)
 
     def evaluate(self, q: Scalar) -> Scalar:
         """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""

@@ -490,6 +490,39 @@ def yang_baxter_holds(graph: HookGraph, target_k: int, i: int) -> bool:
     return _same_quotient(*left, *right)
 
 
+def transpose_holds(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -> bool:
+    """Check the transposition identity on one crossing operator exactly.
+
+    With ``omega: q -> -q^-1``, the operator of hook ``(a, l)`` at vertex
+    ``k`` must match the operator of ``(l, a)`` at vertex ``m - 1 - k`` with
+    every path flipped (basis index ``j -> dim - 1 - j``) wherever a closed
+    trace can see it: the same support, equal diagonal quotients after
+    ``omega``, and equal doublet products ``r12 r21`` after ``omega``.  The
+    evaluator's mirrored vertices rest on this identity.
+    """
+    h = graph.base
+    flipped = HookGraph(Hook(h.leg, h.arm), graph.levels)
+    a = assemble_R(graph, target_k, i, inverse).numerator_rows()
+    b = assemble_R(flipped, graph.levels - 1 - target_k, i, inverse).numerator_rows()
+    dim = len(a)
+    if len(b) != dim or ({(dim - 1 - r, dim - 1 - c) for r, row in enumerate(a) for c in row}
+                         != {(r, c) for r, row in enumerate(b) for c in row}):
+        return False
+    zero = LaurentPoly.zero()
+    da = a.den.substitute_neg_inverse()
+    for r, row in enumerate(a):
+        for c, entry in row.items():
+            fr, fc = dim - 1 - r, dim - 1 - c
+            if r == c:
+                if entry.substitute_neg_inverse() * b.den != b[fr][fr] * da:
+                    return False
+            elif r < c:
+                mirrored = (entry * a[c].get(r, zero)).substitute_neg_inverse()
+                if mirrored * b.den * b.den != b[fr][fc] * b[fc].get(fr, zero) * da * da:
+                    return False
+    return True
+
+
 def commutation_holds(graph: HookGraph, target_k: int, i: int, j: int) -> bool:
     a = assemble_R(graph, target_k, i)
     b = assemble_R(graph, target_k, j)

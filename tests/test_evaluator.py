@@ -9,7 +9,8 @@ from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc, e
                               qnum_bullet)
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import assemble_R, framing_factor, trace_product
-from hookalex.young import Hook
+from hookalex.schur import hook_weight
+from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
@@ -161,6 +162,89 @@ def test_failed_lift_names_the_vertex(monkeypatch):
     assert "vertex k=0" in message and len(message) < 300
     assert LaurentPoly.constant(2).summary() in message
     assert common.summary() in message
+
+
+# -- mirrored vertices of self-transpose colors ------------------------------------------------
+
+def _traces(hook, b):
+    """The trace at every vertex, each from its own operator product."""
+    graph = HookGraph(hook, b.strands)
+    return [trace_product([assemble_R(graph, k, abs(g), g < 0) for g in b.letters])
+            for k in range(b.strands)]
+
+
+def _mirror_equal(t, u):
+    """``t == u`` at q -> -q^-1, as fractions compared by cross-multiplying."""
+    return t.num * u.den.substitute_neg_inverse() == u.num.substitute_neg_inverse() * t.den
+
+
+def test_traces_of_transposed_hooks_mirror_each_other():
+    for m in range(2, 8):
+        rng = random.Random(m)
+        for b in [_random_knot(rng, m, 3 * (m - 1)) for _ in range(3)]:
+            traces = {h: _traces(h, b) for h in hooks_up_to_size(4)}  # closed under transpose
+            for h, own in traces.items():
+                mirrored = traces[Hook(h.leg, h.arm)]
+                for k in range(m):
+                    assert _mirror_equal(own[k], mirrored[m - 1 - k]), (h, b, k)
+                if h.arm == h.leg and m % 2:  # the middle vertex is its own mirror
+                    assert _mirror_equal(own[m // 2], own[m // 2]), (h, b)
+
+
+def test_self_transpose_colors_trace_half_the_vertices(monkeypatch):
+    calls = [0]
+
+    def counted(ops):
+        calls[0] += 1
+        return trace_product(ops)
+
+    monkeypatch.setattr("hookalex.evaluator.trace_product", counted)
+    for m in range(2, 9):
+        b = _random_knot(random.Random(m), m, m + 3)
+        for h in (Hook(0, 0), Hook(1, 1), Hook(1, 0), Hook(0, 1), Hook(2, 1)):
+            calls[0] = 0
+            alexander(h, b)
+            assert calls[0] == ((m + 1) // 2 if h.arm == h.leg else m), (h, m)
+
+
+def test_failed_mirror_names_the_vertex(monkeypatch):
+    def patched(ops):  # 2 + q is not +- itself at q -> -q^-1
+        return trace_product(ops)._replace(den=LaurentPoly(0, (2, 1)))
+
+    monkeypatch.setattr("hookalex.evaluator.trace_product", patched)
+    with pytest.raises(InexactDivisionError) as exc:
+        alexander(Hook(0, 0), TREFOIL)
+    message = str(exc.value)
+    assert "vertex k=1" in message and len(message) < 300
+
+
+def _full_vertex_sum(color, b):
+    """``(polynomial, contributions, denominator)`` from an operator product at every vertex."""
+    m = b.strands
+    graph = HookGraph(color, m)
+    common = LaurentPoly.one()
+    for g in b.letters:
+        if abs(g) >= 2:
+            common = common * qnum_bullet(abs(g), color.size)
+    contributions = []
+    for k, (num, den) in enumerate(_traces(color, b)):
+        vertex = graph.vertex(m, k)
+        sign, _ = hook_weight(color, vertex)
+        contributions.append((vertex, num * exact_div(common, den) * sign))
+    denominator = qnum_bullet(m, color.size) * common
+    total = sum((num for _, num in contributions), LaurentPoly.zero())
+    correction = (framing_factor(color) ** (-b.writhe)).as_laurent()
+    poly = unit_normalize(exact_div(total, denominator) * correction)
+    return poly, tuple(contributions), denominator
+
+
+def test_mirrored_vertices_match_the_full_vertex_sum(knots):
+    rng = random.Random(8)
+    seeded = [_random_knot(rng, m, m + 3) for m in range(2, 9)]
+    for b in knots + seeded:
+        for h in (Hook(0, 0), Hook(1, 1), Hook(2, 2)):
+            res = alexander(h, b)
+            assert (res.polynomial, res.contributions, res.denominator) == _full_vertex_sum(h, b)
 
 
 def test_value_at_one_is_one(knots):

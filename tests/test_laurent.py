@@ -131,6 +131,42 @@ def test_invert_variable_involution():
     assert p.invert_variable().invert_variable() == p
 
 
+# -- q -> -q^-1 ---------------------------------------------------------------------
+
+# substitutions and shifts give every parity of step and of the exponents
+strided = st.builds(lambda p, k, s: p.substitute_power(k).shift(s),
+                    polys, st.integers(1, 4), st.integers(-3, 3))
+
+
+@given(strided)
+def test_substitute_neg_inverse_is_an_involution(p):
+    assert p.substitute_neg_inverse().substitute_neg_inverse() == p
+
+
+@given(strided, strided)
+def test_substitute_neg_inverse_respects_ring_operations(p, r):
+    w = LaurentPoly.substitute_neg_inverse
+    assert w(p + r) == w(p) + w(r)
+    assert w(p * r) == w(p) * w(r)
+
+
+@given(strided, st.fractions(-4, 4, max_denominator=5).filter(bool))
+def test_substitute_neg_inverse_evaluates_at_minus_reciprocal(p, q):
+    assert p.substitute_neg_inverse().evaluate(q) == p.evaluate(-1 / q)
+
+
+@given(strided)
+def test_substitute_neg_inverse_is_canonical(p):
+    w = p.substitute_neg_inverse()
+    assert w == LaurentPoly(w.min_exp, w.coeffs)
+    assert _dense(w) == {-e: -c if e % 2 else c for e, c in _dense(p).items()}
+
+
+def test_substitute_neg_inverse_of_zero():
+    z = LaurentPoly.zero().substitute_neg_inverse()
+    assert z == LaurentPoly.zero() and (z.min_exp, z.step, z.terms) == (0, 1, ())
+
+
 # -- exact division -----------------------------------------------------------------
 
 def test_exact_div_rechecked_by_multiplication():

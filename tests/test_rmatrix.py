@@ -15,7 +15,7 @@ from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, SignedMonomial, assemb
                               framing_factor, hook_eigenvalues,
                               product_numerators, symmetric_operator_numeric,
                               trace_product, trace_product_numeric,
-                              yang_baxter_holds)
+                              transpose_holds, yang_baxter_holds)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
 mono = LaurentPoly.monomial
@@ -388,6 +388,35 @@ def test_far_commutativity_spot_check():
     g = HookGraph(Hook(1, 0), 4)
     for k in range(4):
         assert commutation_holds(g, k, 1, 3)
+
+
+def test_transposition_identity_holds():
+    # hooks up to size 4 include every transpose; 2,240 checks in all
+    for h in hooks_up_to_size(4):
+        for m in range(2, 8):
+            g = HookGraph(h, m)
+            for k in range(m):
+                for i in range(1, m):
+                    assert transpose_holds(g, k, i) and transpose_holds(g, k, i, inverse=True)
+
+
+@pytest.mark.parametrize("hook,entry", [(Hook(1, 0), "r21"), (Hook(0, 0), "r11")])
+def test_transposition_check_catches_a_flipped_doublet_sign(monkeypatch, hook, entry):
+    def flipped(h, n, inverse):
+        block = doublet_block(h, n, inverse)
+        if h == hook and n == 2:
+            return replace(block, **{entry: -getattr(block, entry)})
+        return block
+
+    assemble_R.cache_clear()
+    monkeypatch.setattr(rmatrix, "doublet_block", flipped)
+    try:
+        g = HookGraph(hook, 3)
+        assert not transpose_holds(g, 1, 2)
+        assert not transpose_holds(g, 1, 2, inverse=True)
+        assert transpose_holds(g, 1, 1)  # crossing 1 has no doublet
+    finally:
+        assemble_R.cache_clear()
 
 
 def test_inverse_gives_identity():

@@ -1,11 +1,16 @@
 """The sweep scripts refuse sweeps that would check nothing or exceed the strand limit."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from hookalex import rmatrix
+from hookalex.young import Hook
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,6 +53,30 @@ def test_sweep_above_strand_limit_is_usage_error(name, argv, flag):
 
 def test_smallest_sweeps_run():
     proc = run_script("yb_sweep.py", "--max-hook-size", "1", "--max-strands", "3")
-    assert proc.returncode == 0 and "3 identities checked" in proc.stdout
+    # 3 Yang-Baxter checks, and 12 transposition checks (3 vertices, 2 crossings, 2 directions)
+    assert proc.returncode == 0 and "15 identities checked" in proc.stdout
     proc = run_script("scaling_sweep.py", "--max-hook-size", "1", "--braids", "1 1 1@2")
     assert proc.returncode == 0 and "all equal (1 knots x 1 hooks)" in proc.stdout
+
+
+def test_yb_sweep_reports_a_failed_transposition(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("yb_sweep", ROOT / "scripts" / "yb_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    original = rmatrix.doublet_block
+
+    def flipped(h, n, inverse):  # one doublet sign of hook (1,0) is wrong
+        block = original(h, n, inverse)
+        return replace(block, r21=-block.r21) if h == Hook(1, 0) and n == 2 else block
+
+    rmatrix.assemble_R.cache_clear()
+    monkeypatch.setattr(rmatrix, "doublet_block", flipped)
+    monkeypatch.setattr(sys, "argv", ["yb_sweep.py", "--max-hook-size", "2", "--max-strands", "3"])
+    try:
+        assert sweep.main() == 1
+    finally:
+        rmatrix.assemble_R.cache_clear()
+    out = capsys.readouterr().out
+    assert "FAIL transpose hook (1,0) m=3 k=1 i=2 inverse=False" in out
+    assert "FAIL transpose hook (0,1) m=3 k=1 i=2 inverse=False" in out
+    assert " 0 failures" not in out
