@@ -1,98 +1,202 @@
 """Independent fundamental Alexander oracle from the reduced Burau representation.
 
 Used only to cross-validate the trace engine in the fundamental color.  The
-braid letters map to exact Laurent matrices in a variable t; the closure's
+braid letters map to Laurent matrices in a variable t; the closure's
 Alexander polynomial is det(I - B(braid)) / (1 + t + ... + t^(m-1)), read in
-the engine's variable via t = q^2 and unit-normalized the same way.
+the engine's variable via t = q^2 and unit-normalized the same way.  Nothing
+here comes from the engine's kernel (`hookalex.rmatrix`): the packing and
+both width proofs below are the oracle's own.
+
+Both the product and the determinant run on Python ints at t = 2^w
+(Kronecker substitution: evaluation is a ring homomorphism), and only the
+product's entries and the determinant are decoded, each once.
+
+Product.  A letter's matrix is the identity but in one row ``j``, whose
+entries are ``1`` and ``+-t^(+-1)`` (:func:`_letter_row`), so right
+multiplication adds a signed shift of column ``j`` to at most two other
+columns and replaces column ``j`` by one.  With ``nu`` the number of negative
+letters and ``L`` the letter count, every entry is stored times ``t^nu``.
+After ``s`` negative letters the product's exponents are at least ``-s``, so
+the stored exponents stay in ``0..L``; before a negative letter ``s < nu``,
+so every stored entry of column ``j`` is divisible by ``t`` and multiplying
+by ``t^-1`` is an exact right shift.  Nothing ever rescales the whole
+matrix.  Every column is a single int: the entry in row ``r`` sits in a slot
+of ``D = L + 1`` digits of ``w`` bits, ``r * D`` digits up.
+
+Product width.  With ``||p||_1`` the sum of the absolute values of p's
+coefficients, let ``u_c`` bound ``sum_r ||B_rc||_1`` over column ``c``: 1 for
+the identity and, since ``(BL)_rc = sum_k B_rk L_kc`` and
+``||pq||_1 <= ||p||_1 ||q||_1``, ``u_c <- sum_k u_k ||L_kc||_1`` per letter.
+Each entry of ``L``'s row ``j`` has norm 1, so a letter adds ``u_j`` to the
+``u_c`` of the other columns in that row.  A coefficient is at most its
+polynomial's 1-norm, so every coefficient of ``B`` and of ``I - B`` is at
+most ``max_c u_c + 1``, and ``w`` is the least multiple of 8 with
+``2^(w-1)`` above that: the balanced base-``2^w`` digits of each slot are
+then the coefficients (:func:`_decode`).
+
+Determinant width.  For ``A = I - B``, every coefficient of ``det A`` is at
+most ``max_{|t|=1} |det A(t)|`` (a coefficient is a mean of the polynomial
+against ``t^-k`` over the unit circle), which Hadamard's inequality bounds
+by ``prod_c sqrt(sum_r |A_rc(t)|^2) <= prod_c sqrt(sum_r ||A_rc||_1^2)``,
+and likewise by rows.  The bound is taken from the decoded entries: the
+a-priori ``u`` ignores cancellation and would widen long products many times
+over.  Each entry is repacked at the width that holds this bound, over
+``t^(a_r + b_c)`` with ``a_r`` the least exponent in its row and ``b_c`` then
+in its column, and Bareiss elimination (:func:`_det`) runs on the integer
+matrix.  It is exact over Z with any pivot order, and evaluation is a ring
+homomorphism, so the result is ``t^-(sum a + sum b) det A`` at ``t = 2^w``,
+and it decodes exactly.
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Sequence, TypeVar
+
 from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .evaluator import unit_normalize
-from .laurent import LaurentPoly, exact_div
+from .laurent import InexactDivisionError, LaurentPoly, exact_div, pack, unpack
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
-
-_ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.one()
-_T = LaurentPoly.monomial(1, 1)
-_T_INV = LaurentPoly.monomial(1, -1)
+Ring = TypeVar("Ring")
 
 
-def _identity(n: int) -> list[list[LaurentPoly]]:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, tuple[int, int]]]:
+    """``(j, {column: (sign, exponent)})``: row ``j`` of the letter's matrix, the one not the identity's.
 
-
-def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, LaurentPoly]]:
-    """``(j, {column: entry})`` for row ``j``, the one row of the letter's matrix not the identity's.
-
-    Generator i sends v(i-1) -> v(i-1) + t*v(i), v(i) -> -t*v(i),
-    v(i+1) -> v(i) + v(i+1); the inverse letters are exact.
+    Each entry is ``sign * t**exponent``.  Generator i sends v(i-1) ->
+    v(i-1) + t*v(i), v(i) -> -t*v(i), v(i+1) -> v(i) + v(i+1); the inverse
+    letters are exact.
     """
     if letter == 0 or abs(letter) >= strands:
         raise ValueError(f"letter {letter} invalid on {strands} strands")
     j = abs(letter) - 1
     if letter > 0:
-        row = {j - 1: _T, j: -_T, j + 1: _ONE}
+        row = {j - 1: (1, 1), j: (-1, 1), j + 1: (1, 0)}
     else:
-        row = {j - 1: _ONE, j: -_T_INV, j + 1: _T_INV}
+        row = {j - 1: (1, 0), j: (-1, -1), j + 1: (1, -1)}
     return j, {c: e for c, e in row.items() if 0 <= c < strands - 1}
 
 
-def reduced_burau(letter: int, strands: int) -> Matrix:
-    """Image of one braid letter in the reduced (m-1)-dimensional representation."""
-    j, row = _letter_row(letter, strands)
-    mat = _identity(strands - 1)
-    mat[j] = [row.get(c, _ZERO) for c in range(strands - 1)]
-    return tuple(tuple(r) for r in mat)
+def _width(bound: int) -> int:
+    """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def _column_bounds(strands: int, rows: Sequence[tuple[int, dict]]) -> list[int]:
+    """``u``: ``u[c]`` bounds the sum of the entry 1-norms in column ``c`` of the product."""
+    u = [1] * (strands - 1)
+    for j, row in rows:
+        for c in row:
+            if c != j:
+                u[c] += u[j]
+    return u
+
+
+def _packed_product(b: BraidWord) -> tuple[list[int], int, int, int]:
+    """The product as ``(columns, width, digits, nu)``, each column one int at t = 2**width.
+
+    Entry ``(r, c)`` times ``t**nu`` sits at digit ``r * digits`` of
+    ``columns[c]``; see the module docstring for why it stays in its slot.
+    """
+    rows = [_letter_row(g, b.strands) for g in b.letters]
+    width = _width(max(_column_bounds(b.strands, rows)) + 1)
+    digits = len(rows) + 1
+    nu = sum(g < 0 for g in b.letters)
+    cols = [1 << width * (c * digits + nu) for c in range(b.strands - 1)]
+    for j, row in rows:
+        x = cols[j]
+        for c, (sign, exp) in row.items():
+            y = x << width if exp > 0 else x >> width if exp < 0 else x
+            if sign < 0:
+                y = -y
+            cols[c] = y if c == j else cols[c] + y
+    return cols, width, digits, nu
+
+
+def _decode(cols: Sequence[int], width: int, digits: int, nu: int) -> list[list[LaurentPoly]]:
+    """The columns of a packed product as lists of entries, each times ``t**-nu``.
+
+    A slot holds ``digits`` balanced digits, each below ``2**(width - 1)`` in
+    absolute value, so the slot's value is below ``2**(width * digits - 1)``
+    and is the balanced remainder of the column.  The zero digits below an
+    entry are dropped before it is unpacked: the lowest set bit of a nonzero
+    digit lies below the digit's top bit.
+    """
+    bits = width * digits
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for value in cols:
+        col = []
+        for _ in cols:
+            entry = ((value + half) & mask) - half
+            value = (value - entry) >> bits
+            low = ((entry & -entry).bit_length() - 1) // width if entry else 0
+            col.append(unpack(entry >> width * low, width, low - nu))
+        out.append(col)
+    return out
 
 
 def burau_matrix(b: BraidWord) -> Matrix:
-    """The product of the letters' matrices, left to right.
-
-    Right multiplication by a letter's matrix, the identity but in row ``j``,
-    changes only the columns ``c`` of row ``j``'s entries: column ``c`` gains
-    column ``j`` times the entry (column ``j`` itself is replaced by that
-    product), so each letter costs one pass over at most three columns.
-    """
-    mat = _identity(b.strands - 1)
-    for g in b.letters:
-        j, row = _letter_row(g, b.strands)
-        for r in mat:
-            x = r[j]
-            if not x.is_zero():
-                for c, e in row.items():
-                    r[c] = x * e if c == j else r[c] + x * e
-    return tuple(tuple(r) for r in mat)
+    """The product of the letters' matrices, left to right."""
+    return tuple(zip(*_decode(*_packed_product(b))))
 
 
-def _det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by fraction-free (Bareiss) elimination.
+def _exact_int_div(num: int, den: int) -> int:
+    quo, rem = divmod(num, den)
+    if rem:
+        raise InexactDivisionError(f"a {num.bit_length()}-bit integer is not divisible "
+                                   f"by a {den.bit_length()}-bit one")
+    return quo
+
+
+def _det(mat: Sequence[Sequence[Ring]], divide: Callable[[Ring, Ring], Ring] = _exact_int_div,
+         zero: Ring = 0, one: Ring = 1) -> Ring:
+    """Determinant over an integral domain by fraction-free (Bareiss) elimination.
 
     Step k replaces each entry below and right of the pivot by the 2 x 2
     minor with the pivot row and column, divided by the previous pivot; the
-    division is exact (Sylvester's identity), so every entry stays an integer
-    Laurent polynomial, and the last entry is the determinant.  A zero pivot
-    swaps in a lower row with a nonzero entry, flipping the sign; none means
-    the determinant is zero.
+    division is exact (Sylvester's identity), so ``divide`` must return the
+    exact quotient or raise :class:`InexactDivisionError`, which comes back
+    naming the step and the entry.  Every entry stays in the ring, and the
+    last one is the determinant.  A zero pivot swaps in a lower row with a
+    nonzero entry, flipping the sign; none means the determinant is zero.
+    The defaults are the integers; ``exact_div`` with the zero and one of
+    ``LaurentPoly`` gives the polynomial determinant.
     """
     a = [list(r) for r in mat]
     n = len(a)
-    sign, prev = 1, _ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if swap is None:
-                return _ZERO
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = exact_div(a[i][j] * pivot - a[i][k] * a[k][j], prev)
-        prev = pivot
+    sign, prev = 1, one
+    try:
+        for k in range(n - 1):
+            if a[k][k] == zero:
+                swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
+                if swap is None:
+                    return zero
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            pivot, top = a[k][k], a[k]
+            for i in range(k + 1, n):
+                row = a[i]
+                lead = row[k]
+                for j in range(k + 1, n):
+                    row[j] = divide(row[j] * pivot - lead * top[j], prev)
+            prev = pivot
+    except InexactDivisionError as e:
+        raise InexactDivisionError(f"Bareiss step {k}, entry ({i}, {j}): {e}") from None
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def _hadamard_bound(cols: Sequence[Sequence[LaurentPoly]]) -> int:
+    """A bound on every coefficient of ``det A``, from the entry 1-norms of ``A`` by column.
+
+    The lesser of ``prod_c sqrt(sum_r ||A_rc||_1**2)`` and the same product
+    over rows (``det A = det A^T``), rounded down.
+    """
+    norms = [[sum(map(abs, p.terms)) for p in col] for col in cols]
+    by_col = math.prod([sum([x * x for x in col]) for col in norms])
+    by_row = math.prod([sum([x * x for x in row]) for row in zip(*norms)])
+    return math.isqrt(min(by_col, by_row))
 
 
 def burau_alexander(b: BraidWord) -> LaurentPoly:
@@ -104,9 +208,16 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     """
     if not closure_is_knot(b):
         raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
-    burau = burau_matrix(b)
-    n = b.strands - 1
-    delta = [[(_ONE if i == j else _ZERO) - burau[i][j] for j in range(n)] for i in range(n)]
+    cols, width, digits, nu = _packed_product(b)
+    eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
+    delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)
+    width = _width(_hadamard_bound(delta))
+    rows = list(zip(*delta))
+    row_low = [min([p.min_exp for p in row if p.terms], default=0) for row in rows]
+    col_low = [min([p.min_exp - low for p, low in zip(col, row_low) if p.terms], default=0)
+               for col in delta]
+    mat = [[pack(p, width) << width * (p.min_exp - low - c_low) if p.terms else 0
+            for p, c_low in zip(row, col_low)] for row, low in zip(rows, row_low)]
+    det = unpack(_det(mat), width, sum(row_low) + sum(col_low))
     circular = LaurentPoly(0, (1,) * b.strands)  # 1 + t + ... + t^(m-1)
-    reduced = exact_div(_det(delta), circular)
-    return unit_normalize(reduced.substitute_power(2))
+    return unit_normalize(exact_div(det, circular).substitute_power(2))

@@ -529,52 +529,3 @@ def commutation_holds(graph: HookGraph, target_k: int, i: int, j: int) -> bool:
     left = product_numerators([a, b])
     right = product_numerators([b, a])
     return _same_quotient(*left, *right)
-
-
-# -- numeric symmetric gauge (validation only) ---------------------------------
-
-def _qnum_bullet_float(n: int, size: int, q: float) -> float:
-    return (q ** (n * size) - q ** (-n * size)) / (q ** size - q ** (-size))
-
-
-def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
-                               q: float, inverse: bool = False) -> list[list[float]]:
-    """Float matrix of the crossing operator with symmetric sqrt off-diagonals.
-
-    Used only to validate that the rational gauge changes no closed trace.
-    """
-    h = graph.base
-    op = assemble_R(graph, target_k, i, inverse=False)
-    k, size = framing_exponent(h), h.size
-    sign = -1.0 if h.leg % 2 else 1.0
-    mat = [[0.0] * op.dim for _ in range(op.dim)]
-    for idx, scalar in op.singlets:
-        mat[idx][idx] = float(scalar.evaluate(q))
-    for (a, b), block in op.doublets:
-        n = block.level
-        bullet = _qnum_bullet_float(n, size, q)
-        c = q ** k
-        r11 = -sign * c * q ** (-n * size) / bullet
-        r22 = sign * c * q ** (n * size) / bullet
-        off = c * math.sqrt(_qnum_bullet_float(n + 1, size, q)
-                            * _qnum_bullet_float(n - 1, size, q)) / bullet
-        if inverse:
-            det = -c * c
-            r11, r22, off = r22 / det, r11 / det, -off / det
-        mat[a][a], mat[a][b], mat[b][a], mat[b][b] = r11, off, off, r22
-    if inverse:
-        for idx, scalar in op.singlets:
-            mat[idx][idx] = 1.0 / mat[idx][idx]
-    return mat
-
-
-def matmul_numeric(a: list[list], b: list[list]) -> list[list]:
-    n = len(a)
-    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
-
-
-def trace_product_numeric(mats: Sequence[list[list]]):
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = matmul_numeric(prod, m)
-    return sum(prod[i][i] for i in range(len(prod)))

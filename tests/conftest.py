@@ -1,10 +1,14 @@
+import math
 import random
+from typing import Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hookalex.braid import BraidWord, closure_is_knot
+from hookalex.braid import BraidWord, closure_is_knot, parse_braid
 from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
+from hookalex.rmatrix import assemble_R, framing_exponent
+from hookalex.young import HookGraph
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None,
@@ -38,3 +42,119 @@ def random_knot_braids(count: int, max_strands: int = 4, max_length: int = 12,
         if closure_is_knot(b):
             out.append(b)
     return out
+
+
+MAX_KNOT_ATTEMPTS = 10_000
+
+
+def random_knot(rng, strands, length):
+    """A random mixed-sign word of ``length`` letters whose closure is a knot.
+
+    A knot word has a letter count of the parity of ``strands - 1`` (each
+    letter is a transposition), so any other length is refused at once.
+    """
+    if length < strands - 1 or (length - strands + 1) % 2:
+        raise ValueError(f"no knot word of {length} letters on {strands} strands")
+    gens = [g for i in range(1, strands) for g in (i, -i)]
+    for _ in range(MAX_KNOT_ATTEMPTS):
+        b = parse_braid(" ".join(str(rng.choice(gens)) for _ in range(length)), strands)
+        if closure_is_knot(b):
+            return b
+    raise ValueError(f"no knot among {MAX_KNOT_ATTEMPTS} words of {length} letters "
+                     f"on {strands} strands")
+
+
+# -- torus knots: a closed form independent of the engine and the oracle ----------------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div(num, den):
+    """Exact quotient of ascending integer coefficient lists, ``den`` monic."""
+    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
+    for i in reversed(range(len(quo))):
+        quo[i] = rem[i + len(den) - 1]
+        for j, d in enumerate(den):
+            rem[i + j] -= quo[i] * d
+    assert not any(rem)
+    return quo
+
+
+def _t_power_minus_one(n):
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def torus_closed_form(p, r, size):
+    """``(t^pr - 1)(t - 1) / ((t^p - 1)(t^r - 1))`` at ``t = q^(2 size)``, unit-normalized.
+
+    Returned as ``(min_exp, coeffs)`` with ``coeffs`` ascending from ``q^min_exp``.
+    """
+    delta = _poly_div(_poly_mul(_t_power_minus_one(p * r), _t_power_minus_one(1)),
+                      _poly_mul(_t_power_minus_one(p), _t_power_minus_one(r)))
+    while delta[-1] == 0:
+        delta.pop()
+    sign = 1 if sum(delta) > 0 else -1
+    assert sum(delta) == sign
+    step = 2 * size
+    coeffs = [0] * ((len(delta) - 1) * step + 1)
+    coeffs[::step] = [sign * c for c in delta]
+    return -((len(coeffs) - 1) // 2), coeffs
+
+
+def torus_braid(p, r):
+    """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r`` on ``p`` strands."""
+    return parse_braid(" ".join(str(i) for _ in range(r) for i in range(1, p)), p)
+
+
+# -- the symmetric gauge in floats, to check that the rational gauge changes no trace ---------
+
+def _qnum_bullet_float(n: int, size: int, q: float) -> float:
+    return (q ** (n * size) - q ** (-n * size)) / (q ** size - q ** (-size))
+
+
+def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
+                               q: float, inverse: bool = False) -> list[list[float]]:
+    """Float matrix of the crossing operator with symmetric sqrt off-diagonals.
+
+    Used only to validate that the rational gauge changes no closed trace.
+    """
+    h = graph.base
+    op = assemble_R(graph, target_k, i, inverse=False)
+    k, size = framing_exponent(h), h.size
+    sign = -1.0 if h.leg % 2 else 1.0
+    mat = [[0.0] * op.dim for _ in range(op.dim)]
+    for idx, scalar in op.singlets:
+        mat[idx][idx] = float(scalar.evaluate(q))
+    for (a, b), block in op.doublets:
+        n = block.level
+        bullet = _qnum_bullet_float(n, size, q)
+        c = q ** k
+        r11 = -sign * c * q ** (-n * size) / bullet
+        r22 = sign * c * q ** (n * size) / bullet
+        off = c * math.sqrt(_qnum_bullet_float(n + 1, size, q)
+                            * _qnum_bullet_float(n - 1, size, q)) / bullet
+        if inverse:
+            det = -c * c
+            r11, r22, off = r22 / det, r11 / det, -off / det
+        mat[a][a], mat[a][b], mat[b][a], mat[b][b] = r11, off, off, r22
+    if inverse:
+        for idx, scalar in op.singlets:
+            mat[idx][idx] = 1.0 / mat[idx][idx]
+    return mat
+
+
+def matmul_numeric(a: list[list], b: list[list]) -> list[list]:
+    n = len(a)
+    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+def trace_product_numeric(mats: Sequence[list[list]]):
+    prod = mats[0]
+    for m in mats[1:]:
+        prod = matmul_numeric(prod, m)
+    return sum(prod[i][i] for i in range(len(prod)))

@@ -11,14 +11,13 @@ from hookalex.evaluator import alexander, check_scaling
 from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
-                              hook_eigenvalues, symmetric_operator_numeric,
-                              trace_product, trace_product_numeric,
-                              yang_baxter_holds)
+                              hook_eigenvalues, trace_product, yang_baxter_holds)
 from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, ratio_closed_form,
                             topological_factors, topological_power_sums)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
 
-from conftest import corpus_knots, random_knot_braids
+from conftest import (corpus_knots, random_knot_braids, symmetric_operator_numeric,
+                      trace_product_numeric)
 
 SCALING_HOOKS = (Hook(1, 0), Hook(0, 1), Hook(1, 1), Hook(2, 0),
                  Hook(2, 1), Hook(1, 2), Hook(2, 2))

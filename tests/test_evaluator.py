@@ -12,6 +12,8 @@ from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.schur import hook_weight
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
+from conftest import random_knot, torus_braid, torus_closed_form
+
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
 
@@ -90,12 +92,12 @@ def test_vertex_sum_constructs_no_rational_function(monkeypatch):
     assert alexander(Hook(2, 1), b).polynomial == expected
 
 
-def _random_knot(rng, strands, length):
-    gens = [g for i in range(1, strands) for g in (i, -i)]
-    while True:
-        b = parse_braid(" ".join(str(rng.choice(gens)) for _ in range(length)), strands)
-        if closure_is_knot(b):
-            return b
+@pytest.mark.parametrize("strands,length", [(3, 3), (4, 20), (5, 2)])
+def test_random_knot_refuses_impossible_lengths_at_once(strands, length):
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="no knot word"):
+        random_knot(rng, strands, length)
+    assert rng.random() == random.Random(0).random()  # nothing was drawn
 
 
 def test_operators_assembled_once_per_distinct_letter(monkeypatch):
@@ -106,7 +108,7 @@ def test_operators_assembled_once_per_distinct_letter(monkeypatch):
         return assemble_R(*args)
 
     monkeypatch.setattr("hookalex.evaluator.assemble_R", counted)
-    for b in (FIGURE8, _random_knot(random.Random(3), 4, 61), torus_braid(3, 31)):
+    for b in (FIGURE8, random_knot(random.Random(3), 4, 61), torus_braid(3, 31)):
         for h in (Hook(0, 0), Hook(2, 1)):
             calls.clear()
             alexander(h, b)
@@ -115,7 +117,7 @@ def test_operators_assembled_once_per_distinct_letter(monkeypatch):
 
 def test_vertex_sum_multiplications_do_not_grow_with_length(monkeypatch):
     rng = random.Random(11)
-    short, long = _random_knot(rng, 3, 40), _random_knot(rng, 3, 160)
+    short, long = random_knot(rng, 3, 40), random_knot(rng, 3, 160)
     for b in (short, long):  # warm the operator caches
         alexander(Hook(1, 0), b)
     count = [0]
@@ -181,7 +183,7 @@ def _mirror_equal(t, u):
 def test_traces_of_transposed_hooks_mirror_each_other():
     for m in range(2, 8):
         rng = random.Random(m)
-        for b in [_random_knot(rng, m, 3 * (m - 1)) for _ in range(3)]:
+        for b in [random_knot(rng, m, 3 * (m - 1)) for _ in range(3)]:
             traces = {h: _traces(h, b) for h in hooks_up_to_size(4)}  # closed under transpose
             for h, own in traces.items():
                 mirrored = traces[Hook(h.leg, h.arm)]
@@ -200,7 +202,7 @@ def test_self_transpose_colors_trace_half_the_vertices(monkeypatch):
 
     monkeypatch.setattr("hookalex.evaluator.trace_product", counted)
     for m in range(2, 9):
-        b = _random_knot(random.Random(m), m, m + 3)
+        b = random_knot(random.Random(m), m, m + 3)
         for h in (Hook(0, 0), Hook(1, 1), Hook(1, 0), Hook(0, 1), Hook(2, 1)):
             calls[0] = 0
             alexander(h, b)
@@ -240,7 +242,7 @@ def _full_vertex_sum(color, b):
 
 def test_mirrored_vertices_match_the_full_vertex_sum(knots):
     rng = random.Random(8)
-    seeded = [_random_knot(rng, m, m + 3) for m in range(2, 9)]
+    seeded = [random_knot(rng, m, m + 3) for m in range(2, 9)]
     for b in knots + seeded:
         for h in (Hook(0, 0), Hook(1, 1), Hook(2, 2)):
             res = alexander(h, b)
@@ -279,51 +281,6 @@ def test_scaling_figure8_large_hook():
 
 
 # -- torus knots: a closed form independent of the engine ------------------------------------
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_div(num, den):
-    """Exact quotient of ascending integer coefficient lists, ``den`` monic."""
-    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
-    for i in reversed(range(len(quo))):
-        quo[i] = rem[i + len(den) - 1]
-        for j, d in enumerate(den):
-            rem[i + j] -= quo[i] * d
-    assert not any(rem)
-    return quo
-
-
-def _t_power_minus_one(n):
-    return [-1] + [0] * (n - 1) + [1]
-
-
-def torus_closed_form(p, r, size):
-    """``(t^pr - 1)(t - 1) / ((t^p - 1)(t^r - 1))`` at ``t = q^(2 size)``, unit-normalized.
-
-    Returned as ``(min_exp, coeffs)`` with ``coeffs`` ascending from ``q^min_exp``.
-    """
-    delta = _poly_div(_poly_mul(_t_power_minus_one(p * r), _t_power_minus_one(1)),
-                      _poly_mul(_t_power_minus_one(p), _t_power_minus_one(r)))
-    while delta[-1] == 0:
-        delta.pop()
-    sign = 1 if sum(delta) > 0 else -1
-    assert sum(delta) == sign
-    step = 2 * size
-    coeffs = [0] * ((len(delta) - 1) * step + 1)
-    coeffs[::step] = [sign * c for c in delta]
-    return -((len(coeffs) - 1) // 2), coeffs
-
-
-def torus_braid(p, r):
-    """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r`` on ``p`` strands."""
-    return parse_braid(" ".join(str(i) for _ in range(r) for i in range(1, p)), p)
-
 
 @pytest.mark.parametrize("p,r,hook", [(2, 3, Hook(1, 0)), (2, 5, Hook(0, 1)), (2, 7, Hook(1, 1)),
                                       (3, 4, Hook(2, 0)), (3, 5, Hook(0, 2)),

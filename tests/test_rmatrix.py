@@ -13,10 +13,11 @@ from hookalex.laurent import LaurentPoly, qnum, qnum_bullet
 from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, SignedMonomial, assemble_R,
                               commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
-                              product_numerators, symmetric_operator_numeric,
-                              trace_product, trace_product_numeric,
+                              product_numerators, trace_product,
                               transpose_holds, yang_baxter_holds)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
+
+from conftest import symmetric_operator_numeric, trace_product_numeric
 
 mono = LaurentPoly.monomial
 
