@@ -38,11 +38,17 @@ signed shifts, and the trace is decoded into a Laurent polynomial once.  The
 width w is proven from the operators so that the decoding is exact: a row
 norm bound first, and where that asks for more than the least width, the
 column sums of entry 1-norms carried through the product (see
-``_packed_product``).  Each operator is compiled once, the first time it
-enters a product, into a plan (:class:`OperatorPlan`): its numerator rows,
-the norms the width bound needs and its least exponent, plus its packed
-terms memoized for at most ``PLAN_WIDTHS`` widths.  Operators repeat across
-letters, vertices and braids, so a product only shifts and adds.
+``_packed_product``).  Each column of the running product carries a pending
+signed monomial beside its ints.  A crossing without a doublet acts by its
+eigenvalues alone, so its operator only updates those factors and leaves the
+ints as they are; the decoding applies them.  Since a factor moves a stored
+polynomial by a signed power of q only, the width proof does not change.
+Each operator is compiled once, the first time it enters a product, into a
+plan (:class:`OperatorPlan`): its numerator rows, the norms the width bound
+needs, and either its diagonal signs and exponents or, for an operator with
+a doublet, its packed terms memoized for at most ``PLAN_WIDTHS`` widths.
+Operators repeat across letters, vertices and braids, so a product only
+shifts and adds.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPoly, pack, qnum_bullet, unpack
@@ -243,20 +250,37 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 #
 # A product is evaluated at q = 2**w (Kronecker substitution: a ring
 # homomorphism Z[q] -> Z), so it runs entirely on Python ints and only its
-# result is decoded, once per trace.  Each operator's entries are multiplied
-# by q**-low, low the least exponent among them, so that every packed entry is
-# a nonnegative power of two times an int; the lows add up to the result's
-# least exponent.  A +-q^e entry (r11, r21, r22, and singlets over den = 1)
-# then acts as a signed shift.  An entry with few terms spread over many bits
-# acts as one signed shift per term, since a shift-and-add pass costs one pass
-# over the running entry and a multiplication costs one pass per machine digit
-# of the multiplier.  The running product is kept by columns: column c of
-# P * B combines the columns of P named by column c of B, which has at most
-# two entries.  The denominator product, a 1 x 1 product, runs the same way.
+# result is decoded, once per trace.  The running product is kept by columns:
+# column c of P * B combines the columns of P named by column c of B, which
+# has at most two entries.  Each column carries a pending factor, a signed
+# monomial +-q^e, beside its ints: the column's true value is its ints,
+# decoded, times that factor.
+#
+# An operator without a doublet (den = 1) is diagonal, each entry a crossing
+# eigenvalue +-q^e, so it only multiplies the factors and touches no big int:
+# the columns keep their very lists.  Such operators are letter 1 at every
+# vertex and every letter at the two end vertices.  An operator with a
+# doublet rebuilds every column in one pass per term.  A term is a
+# multiplier times q^e times a column of P, whose factor's sign goes into
+# the multiplier.  The terms' combined exponents (e plus the factor's) are
+# taken relative to their least one, the new column's factor, so every shift
+# is nonnegative.  A +-1 multiplier (r11, r21, r22, and each term of a
+# spread q-number) acts as a signed shift.  An entry with few terms spread
+# over many bits acts as one signed shift per term, since a shift-and-add
+# pass costs one pass over the running entry and a multiplication costs one
+# pass per machine digit of the multiplier.  The denominator product runs on
+# one int, stored over the sum of the operators' least den exponents.
+#
+# A stored column differs from the true one only by its factor, a signed
+# power of q, so their coefficients are the same and the width proof of
+# :func:`_packed_product` holds unchanged.  Decoding applies the factors: the
+# trace adds the diagonal entries shifted to their least exponent, and
+# product_numerators decodes each entry at its column's.
 #
 # What a product needs of one operator is compiled once, into the operator's
-# plan (:class:`OperatorPlan`): its rows, the norms of the width bounds and
-# low.  The packed terms depend on the width too, so each plan memoizes them
+# plan (:class:`OperatorPlan`): its rows, the norms of the width bounds and,
+# for a diagonal operator, its signs and exponents.  The packed terms of an
+# operator with a doublet depend on the width too, so each plan memoizes them
 # for its last PLAN_WIDTHS widths.  A product then only looks its operators'
 # terms up and shifts and adds.
 
@@ -275,8 +299,9 @@ SPREAD_BITS_PER_TERM = 128
 # is dropped.
 PLAN_WIDTHS = 8
 
-# An operator's terms at one width, flat: column, row, multiplier, shift,
-# column, row, multiplier, shift, ...  One tuple per width keeps a plan small.
+# An operator's terms at one width, flat and column by column: the column's
+# term count, then row, multiplier, exponent for each term.  One tuple per
+# width keeps a plan small.
 Terms = tuple[int, ...]
 
 
@@ -284,13 +309,12 @@ def _norm(p: LaurentPoly) -> int:
     return sum(map(abs, p.terms))
 
 
-def _terms(p: LaurentPoly, low: int, width: int) -> list[tuple[int, int]]:
-    """``q**-low * p`` at q = 2**width as (multiplier, shift) terms."""
-    base = (p.min_exp - low) * width
+def _terms(p: LaurentPoly, width: int) -> list[tuple[int, int]]:
+    """``p`` at q = 2**width as (multiplier, exponent) terms, ``p = sum m * q**e``."""
     nonzero = len(p.terms) - p.terms.count(0)
     if nonzero > 1 and (len(p.terms) - 1) * p.step * width > SPREAD_BITS_PER_TERM * nonzero:
-        return [(c, base + i * p.step * width) for i, c in enumerate(p.terms) if c]
-    return [(pack(p, width), base)]
+        return [(c, p.min_exp + i * p.step) for i, c in enumerate(p.terms) if c]
+    return [(pack(p, width), p.min_exp)]
 
 
 class OperatorPlan(list):
@@ -298,12 +322,13 @@ class OperatorPlan(list):
 
     ``norm`` is ``||op||``, the largest row sum of coefficient 1-norms;
     ``col_norms`` holds the 1-norm of every entry, flat as column, row, norm,
-    column, row, norm, ...; ``den_norm`` is ``||op.den||_1``; ``low`` is the
-    least exponent among the entries.  :meth:`packed` gives the packed terms
-    at one width.
+    column, row, norm, ...; ``den_norm`` is ``||op.den||_1``.  An operator
+    without a doublet is diagonal with entries ``+-q**exps[c]``, the sign
+    negative where bit ``c`` of ``neg`` is set; for any other operator
+    ``exps`` is None and :meth:`packed` gives its terms at one width.
     """
 
-    __slots__ = ("den", "norm", "col_norms", "den_norm", "low", "_widths")
+    __slots__ = ("den", "norm", "col_norms", "den_norm", "neg", "exps", "_widths")
 
     def __init__(self, op: BlockOperator):
         super().__init__([{} for _ in range(op.dim)])
@@ -320,55 +345,83 @@ class OperatorPlan(list):
         self.col_norms = tuple(x for r, row in enumerate(norms) for c, n in row.items()
                                for x in (c, r, n))
         self.den_norm = _norm(op.den)
-        self.low = min(p.min_exp for row in self for p in row.values())
-        self._widths: dict[int, tuple[Terms, Terms]] = {}
+        self.neg, self.exps = 0, None
+        if not op.doublets:
+            self.neg = sum(1 << idx for idx, e in op.singlets if e.sign < 0)
+            self.exps = tuple(e.exponent for _, e in sorted(op.singlets))
+        self._widths: dict[int, tuple[Terms, tuple[int, ...]]] = {}
 
-    def packed(self, width: int) -> tuple[Terms, Terms]:
-        """The entries' terms, and those of ``den`` (none if it is 1), at q = 2**width."""
+    def packed(self, width: int) -> tuple[Terms, tuple[int, ...]]:
+        """The entries' terms at q = 2**width, and those of ``den``.
+
+        ``den``'s terms are flat as multiplier, shift, multiplier, shift, ...,
+        the shifts in bits over ``den.min_exp``.
+        """
         found = self._widths.get(width)
         if found is None:
             if len(self._widths) >= PLAN_WIDTHS:
                 del self._widths[next(iter(self._widths))]
             entry: dict[LaurentPoly, list[tuple[int, int]]] = {}  # equal entries share ints
-            terms: list[int] = []
+            columns: list[list[int]] = [[] for _ in self]
             for k, row in enumerate(self):
                 for c, p in row.items():
                     if p not in entry:
-                        entry[p] = _terms(p, self.low, width)
-                    for m, shift in entry[p]:
-                        terms += (c, k, m, shift)
-            den: list[int] = []
-            if not self.den.is_one():
-                for m, shift in _terms(self.den, self.den.min_exp, width):
-                    den += (0, 0, m, shift)
-            found = self._widths[width] = (tuple(terms), tuple(den))
+                        entry[p] = _terms(p, width)
+                    for m, e in entry[p]:
+                        columns[c] += (k, m, e)
+            low = self.den.min_exp
+            den = tuple(x for m, e in _terms(self.den, width) for x in (m, (e - low) * width))
+            terms = tuple(x for col in columns for x in (len(col) // 3, *col))
+            found = self._widths[width] = (terms, den)
         return found
 
 
-def _apply(cols: list[list[int]], terms: Terms) -> list[list[int]]:
-    """The columns of P * B, P given by ``cols`` and B by its terms at the same width.
+def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
+           width: int) -> tuple[list[list[int]], list[int]]:
+    """The columns of P * B and their exponents, P given by ``cols``, ``neg`` and ``exps``.
 
-    Column c of the result sums ``multiplier * cols[row] << shift`` over B's
-    terms in column c; a multiplier of +-1 is a signed shift.
+    Column c of the result sums ``m * q**e`` times column ``k`` of P, its
+    factor included, over the terms (k, m, e) of B's column c.  The terms are
+    shifted over their least combined exponent, which becomes the new
+    column's, with sign +1.
     """
-    out: list[list[int] | None] = [None] * len(cols)
+    out: list[list[int]] = []
+    out_exps: list[int] = []
     it = iter(terms)
-    for c, k, m, shift in zip(it, it, it, it):
-        src, acc = cols[k], out[c]
-        if acc is None:
-            if m == 1:
-                out[c] = [x << shift for x in src]
-            elif m == -1:
-                out[c] = [-x << shift for x in src]
-            else:
-                out[c] = [x * m << shift for x in src]
-        elif m == 1:
-            out[c] = [a + (x << shift) for a, x in zip(acc, src)]
-        elif m == -1:
-            out[c] = [a - (x << shift) for a, x in zip(acc, src)]
+    for n in it:
+        # A singlet over den or a doublet column is read term by term: on short
+        # products, zip, islice and a second list cost more than the passes.
+        if n <= 2:
+            k, m, e = next(it), next(it), next(it)
+            found = [(k, -m if neg >> k & 1 else m, exps[k] + e)]
+            base = found[0][2]
+            if n == 2:
+                k, m, e = next(it), next(it), next(it)
+                found.append((k, -m if neg >> k & 1 else m, exps[k] + e))
+                base = min(base, exps[k] + e)
         else:
-            out[c] = [a + (x * m << shift) for a, x in zip(acc, src)]
-    return out
+            found = [(k, -m if neg >> k & 1 else m, exps[k] + e)
+                     for k, m, e in islice(zip(it, it, it), n)]
+            base = min([e for _, _, e in found])
+        acc = None
+        for k, m, e in found:
+            src, shift = cols[k], (e - base) * width
+            if acc is None:
+                if m == 1:
+                    acc = [x << shift for x in src]
+                elif m == -1:
+                    acc = [-x << shift for x in src]
+                else:
+                    acc = [x * m << shift for x in src]
+            elif m == 1:
+                acc = [a + (x << shift) for a, x in zip(acc, src)]
+            elif m == -1:
+                acc = [a - (x << shift) for a, x in zip(acc, src)]
+            else:
+                acc = [a + (x * m << shift) for a, x in zip(acc, src)]
+        out.append(acc)
+        out_exps.append(base)
+    return out, out_exps
 
 
 def _width(bound: int) -> int:
@@ -392,12 +445,14 @@ def _column_bound(plans: Sequence[OperatorPlan]) -> int:
     return sum(u)
 
 
-def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int, int, LaurentPoly]:
-    """The ordered product at q = 2**width as (columns, width, min_exp, denominator).
+def _packed_product(ops: Sequence[BlockOperator]
+                    ) -> tuple[list[list[int]], int, int, list[int], LaurentPoly]:
+    """The ordered product at q = 2**width as (columns, width, neg, exps, denominator).
 
-    ``columns[c][r]`` is ``pack`` of entry (r, c) over ``q**min_exp``; the
-    denominator is the decoded product of the operators' ``den``.  Calls
-    ``numerator_rows`` once per operator, for its plan.
+    Entry (r, c) is ``unpack(columns[c][r], width, exps[c])``, negated where
+    bit ``c`` of ``neg`` is set; the denominator is the decoded product of
+    the operators' ``den``.  Calls ``numerator_rows`` once per operator, for
+    its plan.
 
     Width bound: let ``||p||_1`` be the sum of the absolute values of p's
     coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
@@ -418,7 +473,10 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
     ``width`` is the least multiple of 8 with ``2**(width - 1)`` above the
     bounds, which is what makes :func:`hookalex.laurent.unpack` exact.  The
     column bound costs a pass over the plans, so it is taken only when the
-    scalar bound asks for more than the least width, 8 bits.
+    scalar bound asks for more than the least width, 8 bits.  The pending
+    factors change none of this: a stored column is its entries' polynomials
+    times a signed power of q, with the same coefficients, and the trace
+    decoded is the same polynomial.
     """
     if not ops:
         raise ValueError("empty operator product")
@@ -433,26 +491,31 @@ def _packed_product(ops: Sequence[BlockOperator]) -> tuple[list[list[int]], int,
         width = _width(max(_column_bound(plans), den_bound))
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
-    den = [[1]]
-    min_exp = den_exp = 0
+    neg, exps = 0, [0] * dim
+    den, den_exp = 1, 0
     for plan in plans:
-        terms, den_terms = plan.packed(width)
-        cols = _apply(cols, terms)
-        min_exp += plan.low
-        if den_terms:
-            den = _apply(den, den_terms)
+        if plan.exps is not None:
+            neg ^= plan.neg
+            exps = [a + b for a, b in zip(exps, plan.exps)]
+        else:
+            terms, den_terms = plan.packed(width)
+            cols, exps = _apply(cols, neg, exps, terms, width)
+            neg = 0
+            it = iter(den_terms)
+            den = sum([den << shift if m == 1 else den * m << shift for m, shift in zip(it, it)])
             den_exp += plan.den.min_exp
-    return cols, width, min_exp, unpack(den[0][0], width, den_exp)
+    return cols, width, neg, exps, unpack(den, width, den_exp)
 
 
 def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, LaurentPoly]:
     """Ordered product as (numerator rows, common denominator); zero entries are omitted."""
-    cols, width, min_exp, den = _packed_product(ops)
+    cols, width, neg, exps, den = _packed_product(ops)
     rows: NumeratorRows = [dict() for _ in cols]
-    for c, col in enumerate(cols):
+    for c, (col, e) in enumerate(zip(cols, exps)):
+        sign = -1 if neg >> c & 1 else 1
         for r, value in enumerate(col):
             if value:
-                rows[r][c] = unpack(value, width, min_exp)
+                rows[r][c] = unpack(sign * value, width, e)
     return rows, den
 
 
@@ -465,8 +528,13 @@ class Trace(NamedTuple):
 
 def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     """Exact trace of the ordered product of block operators on one path basis."""
-    cols, width, min_exp, den = _packed_product(ops)
-    return Trace(unpack(sum(col[c] for c, col in enumerate(cols)), width, min_exp), den)
+    cols, width, neg, exps, den = _packed_product(ops)
+    base = min(exps)
+    total = 0
+    for c, (col, e) in enumerate(zip(cols, exps)):
+        x = col[c] << (e - base) * width
+        total = total - x if neg >> c & 1 else total + x
+    return Trace(unpack(total, width, base), den)
 
 
 def _same_quotient(ra: NumeratorRows, da: LaurentPoly,

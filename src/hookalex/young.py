@@ -129,13 +129,17 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + rest.parts)
 
 
-def hooks_up_to_size(max_size: int) -> list[Hook]:
-    """All hooks with at most ``max_size`` boxes, ordered by size then arm."""
-    out = []
+def hooks_up_to_size(max_size: int) -> Iterator[Hook]:
+    """All hooks with at most ``max_size`` boxes, by size, then arm from the largest.
+
+    Generated one at a time: there are ``max_size * (max_size + 1) / 2``.
+
+    >>> list(hooks_up_to_size(2))
+    [Hook(arm=0, leg=0), Hook(arm=1, leg=0), Hook(arm=0, leg=1)]
+    """
     for size in range(1, max_size + 1):
         for arm in range(size - 1, -1, -1):
-            out.append(Hook(arm, size - 1 - arm))
-    return out
+            yield Hook(arm, size - 1 - arm)
 
 
 def hook_tensor_onehook(h1: Hook, h2: Hook) -> tuple[Hook, Hook]:

@@ -266,6 +266,52 @@ def test_trace_product_matches_dense_trace():
         assert t.den == dense_den
 
 
+def _dense_trace(ops):
+    dense, dense_den = _dense_product(ops)
+    return sum((dense[i][i] for i in range(len(dense))), LaurentPoly.zero()), dense_den
+
+
+def test_stacked_pending_factors_match_dense_product():
+    # Long runs of letter 1, which has no doublet at any vertex, stack signed
+    # monomials on the columns; the letters between the runs then combine
+    # columns whose factors differ.  Even and odd legs give either eigenvalue
+    # the sign -1.
+    zero = LaurentPoly.zero()
+    rng = random.Random(20261019)
+    for m in range(2, 7):
+        for h in (Hook(0, 0), Hook(0, 1), Hook(1, 1), Hook(2, 1), Hook(1, 2)):
+            g = HookGraph(h, m)
+            letters = []
+            for _ in range(3):
+                letters += [rng.choice((1, -1)) for _ in range(rng.randint(4, 9))]
+                letters += [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(2)]
+            for k in range(m):
+                ops = [assemble_R(g, k, abs(x), x < 0) for x in letters]
+                rows, den = product_numerators(ops)
+                dense, dense_den = _dense_product(ops)
+                assert den == dense_den
+                assert [[row.get(c, zero) for c in range(len(rows))] for row in rows] == dense
+                assert tuple(trace_product(ops)) == _dense_trace(ops)
+
+
+def test_doublet_free_products_keep_the_identity_columns():
+    # Operators without a doublet only change the columns' pending factors:
+    # the packed columns stay the identity's, and their plans pack nothing.
+    rng = random.Random(5)
+    for m in range(2, 7):
+        for h in (Hook(0, 0), Hook(1, 0), Hook(1, 1), Hook(1, 2)):
+            g = HookGraph(h, m)
+            words = {0: [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(15)],
+                     1: [rng.choice((1, -1)) for _ in range(15)]}
+            for k, letters in words.items():
+                ops = _fresh([assemble_R(g, k, abs(x), x < 0) for x in letters])
+                assert not any(op.doublets for op in ops)
+                cols = rmatrix._packed_product(ops)[0]
+                assert cols == [[int(r == c) for r in range(len(cols))] for c in range(len(cols))]
+                assert tuple(trace_product(ops)) == _dense_trace(ops)
+                assert not any(op.numerator_rows()._widths for op in ops)
+
+
 def test_packed_trace_multiplies_no_polynomials(monkeypatch):
     b = parse_braid("-1 2 -3 4 -5 3 -2 1 4 -3 2", 6)
     assert closure_is_knot(b)
@@ -308,7 +354,12 @@ def test_plan_matches_its_rows():
                         assert plan.norm == max(sum(_norm(p) for p in row.values())
                                                 for row in plan)
                         assert plan.den_norm == _norm(op.den)
-                        assert plan.low == min(p.min_exp for row in plan for p in row.values())
+                        if op.doublets:
+                            assert plan.exps is None
+                        else:  # diagonal, with entries +-q**exps[c]
+                            assert [dict(row) for row in plan] == [
+                                {c: mono(-1 if plan.neg >> c & 1 else 1, e)}
+                                for c, e in enumerate(plan.exps)]
                         it = iter(plan.col_norms)
                         norms = {(r, c): n for c, r, n in zip(it, it, it)}
                         assert norms == {(r, c): _norm(p) for r, row in enumerate(plan)

@@ -1,3 +1,4 @@
+import inspect
 from math import comb
 
 import pytest
@@ -17,6 +18,16 @@ def test_hook_basics():
     assert h.as_partition() == Partition((3, 1))
     with pytest.raises(ValueError):
         Hook(-1, 0)
+
+
+def test_hooks_up_to_size_are_generated_lazily():
+    # checked first, so that a list-building version fails here instead of
+    # trying to build 5 * 10**17 hooks below
+    assert inspect.isgeneratorfunction(hooks_up_to_size)
+    assert next(iter(hooks_up_to_size(10**9))) == Hook(0, 0)
+    assert list(hooks_up_to_size(4)) == [
+        Hook(0, 0), Hook(1, 0), Hook(0, 1), Hook(2, 0), Hook(1, 1), Hook(0, 2),
+        Hook(3, 0), Hook(2, 1), Hook(1, 2), Hook(0, 3)]
 
 
 def test_tensor_fundamental_square():
