@@ -15,11 +15,12 @@ a letter whose operator has a doublet, else 1.  Every letter with ``|g| >= 2``
 has a doublet at every interior vertex (``0 < k < m - 1``), and no letter
 has one at the two end vertices, so each denominator divides the widest one,
 which serves as the common denominator.  Each term is lifted to it by one
-exact quotient per distinct denominator and the terms are added as integer
-Laurent polynomials; a single exact division by ``[m]_N`` times the common
-denominator finishes the sum.  It always divides out to an integer Laurent
-polynomial; a failure to lift or to divide is an internal inconsistency,
-never user error, and a failed lift names its vertex.  The
+exact quotient per distinct denominator, except that an end vertex's
+denominator 1 lifts by the common one with no division, and the terms are
+added as integer Laurent polynomials; a single exact division by ``[m]_N``
+times the common denominator finishes the sum.  It always divides out to an
+integer Laurent polynomial; a failure to lift or to divide is an internal
+inconsistency, never user error, and a failed lift names its vertex.  The
 polynomial is finally normalized by the unit ``+-q^j`` that centers its
 exponent range and makes its value at q = 1 equal to +1 (the invariant is
 classically defined only up to such units, and the strict framing correction
@@ -151,14 +152,17 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     lifts = {common: LaurentPoly.one()}
     contributions = []
     for k, (vertex, sign, (num, den)) in enumerate(terms):
-        if den not in lifts:
-            try:
-                lifts[den] = exact_div(common, den)
-            except InexactDivisionError as exc:
-                raise InexactDivisionError(
-                    f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
-                    f"does not divide the common one ({common.summary()})") from exc
-        lift = lifts[den]
+        if den.is_one():  # an end vertex, lifted by the common denominator itself
+            lift = common
+        else:
+            if den not in lifts:
+                try:
+                    lifts[den] = exact_div(common, den)
+                except InexactDivisionError as exc:
+                    raise InexactDivisionError(
+                        f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
+                        f"does not divide the common one ({common.summary()})") from exc
+            lift = lifts[den]
         contributions.append((vertex, (num if lift.is_one() else lift * num) * sign))
     total = sum((num for _, num in contributions), LaurentPoly.zero())
     denominator = qnum_bullet(m, color.size) * common

@@ -7,9 +7,10 @@ every intermediate value is one too.  It is stored strided, as
 polynomials in ``q**N`` (colored invariants, bullet q-numbers) carry no runs
 of zeros.  The evaluator's single division of the
 vertex sum by its factored denominator goes through `exact_div`, which fails
-loudly if the division is not exact.  `pack` and `unpack` map a polynomial to
-its value at q = 2**width and back (Kronecker substitution); the operator
-product runs on such packed ints and decodes its result once.
+loudly if the division is not exact; it runs on packed ints too.  `pack` and
+`unpack` map a polynomial in q**step to its value at q**step = 2**width and
+back (Kronecker substitution); the operator product runs on such packed ints
+and decodes its result once, each coefficient at its own size.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
 traces of its mirrored vertices.  `RationalFunc`
 serves only the Schur oracle (quantum-dimension ratios and the Jacobi-Trudi
@@ -413,46 +414,96 @@ def qnum_bullet(n: int, base: int) -> LaurentPoly:
 
 # -- Kronecker substitution ------------------------------------------------------
 #
-# Evaluating at q = 2**width maps Z[q] into Z as a ring homomorphism, so sums
-# and products of packed polynomials are plain int sums and products.  The
-# image is decodable when every coefficient of the result is below
-# 2**(width - 1) in absolute value: the coefficients are then its balanced
-# base-2**width digits.
+# Evaluating at q**step = 2**width maps Z[q**step] into Z as a ring
+# homomorphism, so sums and products of packed polynomials are plain int sums
+# and products.  The image is decodable when every coefficient of the result
+# is below 2**(width - 1) in absolute value: the coefficients are then its
+# balanced base-2**width digits.  Packing a polynomial in q**step at that step
+# leaves out the step - 1 zero digits between its terms.
 
-def pack(p: LaurentPoly, width: int) -> int:
-    """The value of ``q**-p.min_exp * p`` at ``q = 2**width``.
+def packing_width(bound: int) -> int:
+    """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
+    """The value of ``q**-p.min_exp * p`` at ``q**step = 2**width``.
+
+    ``width`` is a multiple of 8, and ``step`` divides every exponent gap of
+    ``p``.  Coefficients below ``2**(width - 1)`` in absolute value are laid
+    out as one biased digit of bytes each and read as one int, in time linear
+    in its size.  A larger coefficient carries into the digits above, so then
+    the terms are added up by shifts instead.
 
     >>> pack(LaurentPoly(-1, (3, 0, -1)), 8) == 3 - 2**16
     True
+    >>> pack(LaurentPoly(-1, (3, 0, -1)), 8, 2) == 3 - 2**8
+    True
     """
-    acc, shift = 0, width * p.step
-    for c in reversed(p.terms):
-        acc = (acc << shift) + c
-    return acc
+    terms = _spread(p.terms, p.step // step) if len(p.terms) > 1 else p.terms
+    size, half = width // 8, 1 << (width - 1)
+    try:
+        raw = b"".join([(c + half).to_bytes(size, "little") for c in terms])
+    except OverflowError:
+        acc = 0
+        for c in reversed(terms):
+            acc = (acc << width) + c
+        return acc
+    return int.from_bytes(raw, "little") - _bias(size, len(terms))
 
 
-def unpack(value: int, width: int, min_exp: int) -> LaurentPoly:
-    """The polynomial ``q**min_exp * p`` whose ``pack`` at ``width`` is ``value``.
+def _bias(size: int, count: int) -> int:
+    """``2**(8 * size - 1)`` in each of ``count`` digits of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
+def unpack(value: int, width: int, min_exp: int, step: int = 1) -> LaurentPoly:
+    """The polynomial ``q**min_exp * p(q**step)`` whose ``pack`` at ``width, step`` is ``value``.
 
     Exact when ``width`` is a multiple of 8 and every coefficient of ``p`` is
     below ``2**(width - 1)`` in absolute value: adding ``2**(width - 1)`` to
-    every digit makes all digits positive with no carries, so one
-    ``to_bytes`` pass reads them off.  The digit count follows from the bit
-    length, since a top digit ``c != 0`` puts ``|value|`` in
-    ``[2**(width*(n-1) - 1), 2**(width*n - 1))``.
+    every digit makes all digits nonnegative with no carries, and clearing
+    that bit again leaves each digit in two's complement, which one
+    ``to_bytes`` pass and a signed ``from_bytes`` per digit read off.  Each
+    coefficient is thus allocated at its own size, not at the width's.  The
+    digit count follows from the bit length, since a top digit ``c != 0``
+    puts ``|value|`` in ``[2**(width*(n-1) - 1), 2**(width*n - 1))``.  Any
+    ``value`` decodes to the balanced base-``2**width`` digits of itself.
 
     >>> unpack(pack(LaurentPoly(-1, (3, 0, -1)), 8), 8, -1)
+    LaurentPoly('-q + 3q^-1')
+    >>> unpack(3 - 2**8, 8, -1, 2)
     LaurentPoly('-q + 3q^-1')
     """
     if not value:
         return LaurentPoly.zero()
     size = width // 8
     count = abs(value).bit_length() // width + 1
-    half = 1 << (width - 1)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw = (value + bias).to_bytes(count * size, "little")
-    return LaurentPoly(min_exp, [int.from_bytes(raw[i:i + size], "little") - half
-                                 for i in range(0, count * size, size)])
+    bias = _bias(size, count)
+    raw = memoryview(((value + bias) ^ bias).to_bytes(count * size, "little"))
+    return _build(min_exp, step, [int.from_bytes(raw[i:i + size], "little", signed=True)
+                                  for i in range(0, count * size, size)])
+
+
+def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:
+    """``prod p**n`` over the ``(p, n)`` in ``factors``, on one packed int per factor.
+
+    Every factor is a polynomial in ``q**g`` up to a monomial, ``g`` the gcd
+    of their steps.  Each is packed at ``q**g = 2**w`` and raised to its
+    power with ``pow``; the powers are multiplied and the product is decoded
+    once.  Every coefficient of the product is at most ``prod ||p||_1**n``,
+    since ``||pr||_1 <= ||p||_1 ||r||_1`` and a coefficient is at most its
+    polynomial's 1-norm, and ``w`` is the least width that holds it.
+
+    >>> power_product([(qnum(2), 2), (qnum_bullet(3, 2), 1)])
+    LaurentPoly('q^6 + 2q^4 + 2q^2 + 2 + 2q^-2 + 2q^-4 + q^-6')
+    """
+    if not factors:
+        return LaurentPoly.one()
+    width = packing_width(math.prod([sum(map(abs, p.terms)) ** n for p, n in factors]))
+    step = math.gcd(*[p.step for p, _ in factors])
+    value = math.prod([pow(pack(p, width, step), n) for p, n in factors])
+    return unpack(value, width, sum([p.min_exp * n for p, n in factors]), step)
 
 
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> InexactDivisionError:
@@ -465,6 +516,21 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Raises :class:`InexactDivisionError` when ``den`` does not divide ``num``
     over the integers; division by zero raises :class:`ZeroDivisionError`.
 
+    A divisor ``+-q**e`` is a shift.  Any other division runs on packed ints:
+    both operands are polynomials in ``q**g``, ``g`` the gcd of their steps,
+    up to a monomial, and so is the quotient.  Pack both at ``q**g = 2**W``,
+    with ``W`` the least width holding ``||num||_inf * ||den||_1``, and take
+    one ``divmod``.  If ``den`` divides ``num``, the packed ``den`` divides
+    the packed ``num`` (evaluation is a ring homomorphism), so a nonzero
+    remainder proves the division inexact.  Otherwise decode the integer
+    quotient: it is the value at ``2**W`` of the polynomial ``quo`` decoded
+    from it (:func:`unpack`).  If ``||den||_1 * ||quo||_inf < 2**(W - 1)``,
+    the coefficients of ``den * quo`` and of ``num`` are all below
+    ``2**(W - 1)`` in absolute value, and both take the same value at
+    ``2**W``; they are therefore the same balanced digits, and ``den * quo ==
+    num``.  A quotient that fails this check, which takes coefficients above
+    ``||num||_inf``, goes to the schoolbook loop, exact at any size.
+
     >>> exact_div(LaurentPoly(-3, (1, 0, 0, 0, 0, 0, 1)), qnum(2))
     LaurentPoly('q^2 - 1 + q^-2')
     """
@@ -472,6 +538,23 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
+    if len(den.terms) == 1 and den.terms[0] in (1, -1):
+        quo = num.shift(-den.min_exp)
+        return quo if den.terms[0] == 1 else -quo
+    step = math.gcd(num.step, den.step)
+    den_norm = sum(map(abs, den.terms))
+    width = packing_width(max(map(abs, num.terms)) * den_norm)
+    value, rem = divmod(pack(num, width, step), pack(den, width, step))
+    if rem:
+        raise _not_divisible(num, den)
+    quo = unpack(value, width, num.min_exp - den.min_exp, step)
+    if max(map(abs, quo.terms)) * den_norm < 1 << (width - 1):
+        return quo
+    return _schoolbook_div(num, den)
+
+
+def _schoolbook_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """``exact_div`` one coefficient at a time, from the top; exact at any coefficient size."""
     # both are polynomials in q**step up to a monomial, and so is the quotient
     step = math.gcd(num.step, den.step)
     a = list(_spread(num.terms, num.step // step))

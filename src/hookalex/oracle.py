@@ -55,7 +55,7 @@ from typing import Callable, Sequence, TypeVar
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .evaluator import unit_normalize
-from .laurent import InexactDivisionError, LaurentPoly, exact_div, pack, unpack
+from .laurent import InexactDivisionError, LaurentPoly, exact_div, pack, packing_width, unpack
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 Ring = TypeVar("Ring")
@@ -78,11 +78,6 @@ def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, tuple[int, in
     return j, {c: e for c, e in row.items() if 0 <= c < strands - 1}
 
 
-def _width(bound: int) -> int:
-    """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
-    return 8 * ((bound.bit_length() + 8) // 8)
-
-
 def _column_bounds(strands: int, rows: Sequence[tuple[int, dict]]) -> list[int]:
     """``u``: ``u[c]`` bounds the sum of the entry 1-norms in column ``c`` of the product."""
     u = [1] * (strands - 1)
@@ -100,7 +95,7 @@ def _packed_product(b: BraidWord) -> tuple[list[int], int, int, int]:
     ``columns[c]``; see the module docstring for why it stays in its slot.
     """
     rows = [_letter_row(g, b.strands) for g in b.letters]
-    width = _width(max(_column_bounds(b.strands, rows)) + 1)
+    width = packing_width(max(_column_bounds(b.strands, rows)) + 1)
     digits = len(rows) + 1
     nu = sum(g < 0 for g in b.letters)
     cols = [1 << width * (c * digits + nu) for c in range(b.strands - 1)]
@@ -211,7 +206,7 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     cols, width, digits, nu = _packed_product(b)
     eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
     delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)
-    width = _width(_hadamard_bound(delta))
+    width = packing_width(_hadamard_bound(delta))
     rows = list(zip(*delta))
     row_low = [min([p.min_exp for p in row if p.terms], default=0) for row in rows]
     col_low = [min([p.min_exp - low for p, low in zip(col, row_low) if p.terms], default=0)

@@ -49,6 +49,13 @@ needs, and either its diagonal signs and exponents or, for an operator with
 a doublet, its packed terms memoized for at most ``PLAN_WIDTHS`` widths.
 Operators repeat across letters, vertices and braids, so a product only
 shifts and adds.
+
+What follows the product stays packed too.  The trace's denominator is the
+product of a few distinct bullet q-numbers, each raised to its count on one
+int packed in ``q^(2N)`` (:func:`hookalex.laurent.power_product`).  Every
+term of a trace lies in one class mod ``2N`` (proof in :func:`trace_product`),
+so its numerator is decoded at that grade, reading one digit in ``2N``, after
+one mask comparison has checked that the digits between are zero.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ from functools import cached_property, lru_cache
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .laurent import LaurentPoly, pack, qnum_bullet, unpack
+from .laurent import (InexactDivisionError, LaurentPoly, pack, packing_width, power_product,
+                      qnum_bullet, unpack)
 from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it here)
 from .young import Hook, HookGraph, Path, enumerate_paths
 
@@ -268,14 +276,16 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # spread q-number) acts as a signed shift.  An entry with few terms spread
 # over many bits acts as one signed shift per term, since a shift-and-add
 # pass costs one pass over the running entry and a multiplication costs one
-# pass per machine digit of the multiplier.  The denominator product runs on
-# one int, stored over the sum of the operators' least den exponents.
+# pass per machine digit of the multiplier.  The denominator is not carried
+# through the loop: the product counts each distinct den object and raises
+# it to its count once, at the end.
 #
 # A stored column differs from the true one only by its factor, a signed
 # power of q, so their coefficients are the same and the width proof of
 # :func:`_packed_product` holds unchanged.  Decoding applies the factors: the
-# trace adds the diagonal entries shifted to their least exponent, and
-# product_numerators decodes each entry at its column's.
+# trace adds the diagonal entries shifted to their least exponent and reads
+# the sum at its q^(2N) grade, and product_numerators decodes each entry at
+# its column's exponent.
 #
 # What a product needs of one operator is compiled once, into the operator's
 # plan (:class:`OperatorPlan`): its rows, the norms of the width bounds and,
@@ -322,13 +332,17 @@ class OperatorPlan(list):
 
     ``norm`` is ``||op||``, the largest row sum of coefficient 1-norms;
     ``col_norms`` holds the 1-norm of every entry, flat as column, row, norm,
-    column, row, norm, ...; ``den_norm`` is ``||op.den||_1``.  An operator
-    without a doublet is diagonal with entries ``+-q**exps[c]``, the sign
-    negative where bit ``c`` of ``neg`` is set; for any other operator
-    ``exps`` is None and :meth:`packed` gives its terms at one width.
+    column, row, norm, ...  An operator without a doublet is diagonal with
+    entries ``+-q**exps[c]``, the sign negative where bit ``c`` of ``neg`` is
+    set; for any other operator ``exps`` is None and :meth:`packed` gives its
+    terms at one width.
+    ``grade`` is the gcd of the exponent gaps on the diagonal: ``2N`` for an
+    operator with a doublet (the step of its ``den``, a bullet q-number
+    ``[n]_N`` with ``n >= 2``) and for a diagonal one with both eigenvalues,
+    0 for a diagonal one with a single eigenvalue.
     """
 
-    __slots__ = ("den", "norm", "col_norms", "den_norm", "neg", "exps", "_widths")
+    __slots__ = ("den", "norm", "col_norms", "neg", "exps", "grade", "_widths")
 
     def __init__(self, op: BlockOperator):
         super().__init__([{} for _ in range(op.dim)])
@@ -344,19 +358,15 @@ class OperatorPlan(list):
         self.norm = max(sum(row.values()) for row in norms)
         self.col_norms = tuple(x for r, row in enumerate(norms) for c, n in row.items()
                                for x in (c, r, n))
-        self.den_norm = _norm(op.den)
-        self.neg, self.exps = 0, None
+        self.neg, self.exps, self.grade = 0, None, op.den.step
         if not op.doublets:
             self.neg = sum(1 << idx for idx, e in op.singlets if e.sign < 0)
             self.exps = tuple(e.exponent for _, e in sorted(op.singlets))
-        self._widths: dict[int, tuple[Terms, tuple[int, ...]]] = {}
+            self.grade = math.gcd(*[e - self.exps[0] for e in self.exps])
+        self._widths: dict[int, Terms] = {}
 
-    def packed(self, width: int) -> tuple[Terms, tuple[int, ...]]:
-        """The entries' terms at q = 2**width, and those of ``den``.
-
-        ``den``'s terms are flat as multiplier, shift, multiplier, shift, ...,
-        the shifts in bits over ``den.min_exp``.
-        """
+    def packed(self, width: int) -> Terms:
+        """The entries' terms at q = 2**width."""
         found = self._widths.get(width)
         if found is None:
             if len(self._widths) >= PLAN_WIDTHS:
@@ -369,10 +379,8 @@ class OperatorPlan(list):
                         entry[p] = _terms(p, width)
                     for m, e in entry[p]:
                         columns[c] += (k, m, e)
-            low = self.den.min_exp
-            den = tuple(x for m, e in _terms(self.den, width) for x in (m, (e - low) * width))
-            terms = tuple(x for col in columns for x in (len(col) // 3, *col))
-            found = self._widths[width] = (terms, den)
+            found = self._widths[width] = tuple(x for col in columns
+                                                for x in (len(col) // 3, *col))
         return found
 
 
@@ -424,11 +432,6 @@ def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
     return out, out_exps
 
 
-def _width(bound: int) -> int:
-    """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
-    return 8 * ((bound.bit_length() + 8) // 8)
-
-
 def _column_bound(plans: Sequence[OperatorPlan]) -> int:
     """``sum_c u_c``, with ``u`` the column sums of entry 1-norms carried through the product.
 
@@ -446,19 +449,20 @@ def _column_bound(plans: Sequence[OperatorPlan]) -> int:
 
 
 def _packed_product(ops: Sequence[BlockOperator]
-                    ) -> tuple[list[list[int]], int, int, list[int], LaurentPoly]:
-    """The ordered product at q = 2**width as (columns, width, neg, exps, denominator).
+                    ) -> tuple[list[list[int]], int, int, list[int], LaurentPoly, int]:
+    """The ordered product at q = 2**width as (columns, width, neg, exps, denominator, grade).
 
     Entry (r, c) is ``unpack(columns[c][r], width, exps[c])``, negated where
-    bit ``c`` of ``neg`` is set; the denominator is the decoded product of
-    the operators' ``den``.  Calls ``numerator_rows`` once per operator, for
-    its plan.
+    bit ``c`` of ``neg`` is set; the denominator is the product of the
+    operators' ``den``, and ``grade`` the gcd of the operators' grades (1 if
+    all are 0), a modulus in which every term of the trace lies in one class
+    (see :func:`trace_product`).  Calls ``numerator_rows`` once per operator,
+    for its plan.
 
     Width bound: let ``||p||_1`` be the sum of the absolute values of p's
     coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
-    ||A_rc||_1``.  Every coefficient of the denominator is at most
-    ``prod ||op.den||_1``, and every coefficient of an entry or of the trace
-    at most ``dim * prod ||op||`` (the scalar bound) and at most
+    ||A_rc||_1``.  Every coefficient of an entry or of the trace is at most
+    ``dim * prod ||op||`` (the scalar bound) and at most
     :func:`_column_bound`.  Proofs: ``||pq||_1 <= ||p||_1 ||q||_1``, and a
     coefficient is at most its polynomial's 1-norm.  For the scalar bound,
     the norm is then submultiplicative, and the trace sums ``dim`` entries of
@@ -477,6 +481,11 @@ def _packed_product(ops: Sequence[BlockOperator]
     factors change none of this: a stored column is its entries' polynomials
     times a signed power of q, with the same coefficients, and the trace
     decoded is the same polynomial.
+
+    The denominator is computed by factors: each distinct ``den`` object
+    (operators repeat, so few do) is raised to its count by
+    :func:`hookalex.laurent.power_product`, on ints packed in ``q**(2N)`` at
+    the width that holds ``prod ||op.den||_1``.
     """
     if not ops:
         raise ValueError("empty operator product")
@@ -485,31 +494,32 @@ def _packed_product(ops: Sequence[BlockOperator]
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
     dim = ops[0].dim
     plans = [op.numerator_rows() for op in ops]
-    den_bound = math.prod([plan.den_norm for plan in plans])
-    width = _width(max(dim * math.prod([plan.norm for plan in plans]), den_bound))
+    width = packing_width(dim * math.prod([plan.norm for plan in plans]))
     if width > 8:
-        width = _width(max(_column_bound(plans), den_bound))
+        width = packing_width(_column_bound(plans))
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
     neg, exps = 0, [0] * dim
-    den, den_exp = 1, 0
+    dens: dict[int, list] = {}  # id(den) -> [den, count]; hashing a polynomial costs more
     for plan in plans:
         if plan.exps is not None:
             neg ^= plan.neg
             exps = [a + b for a, b in zip(exps, plan.exps)]
         else:
-            terms, den_terms = plan.packed(width)
-            cols, exps = _apply(cols, neg, exps, terms, width)
+            cols, exps = _apply(cols, neg, exps, plan.packed(width), width)
             neg = 0
-            it = iter(den_terms)
-            den = sum([den << shift if m == 1 else den * m << shift for m, shift in zip(it, it)])
-            den_exp += plan.den.min_exp
-    return cols, width, neg, exps, unpack(den, width, den_exp)
+            found = dens.get(id(plan.den))
+            if found is None:
+                dens[id(plan.den)] = [plan.den, 1]
+            else:
+                found[1] += 1
+    grade = math.gcd(*[plan.grade for plan in plans]) or 1
+    return cols, width, neg, exps, power_product(list(dens.values())), grade
 
 
 def product_numerators(ops: Sequence[BlockOperator]) -> tuple[NumeratorRows, LaurentPoly]:
     """Ordered product as (numerator rows, common denominator); zero entries are omitted."""
-    cols, width, neg, exps, den = _packed_product(ops)
+    cols, width, neg, exps, den, _ = _packed_product(ops)
     rows: NumeratorRows = [dict() for _ in cols]
     for c, (col, e) in enumerate(zip(cols, exps)):
         sign = -1 if neg >> c & 1 else 1
@@ -527,14 +537,57 @@ class Trace(NamedTuple):
 
 
 def trace_product(ops: Sequence[BlockOperator]) -> Trace:
-    """Exact trace of the ordered product of block operators on one path basis."""
-    cols, width, neg, exps, den = _packed_product(ops)
+    """Exact trace of the ordered product of block operators on one path basis.
+
+    The numerator is read at its grade: every term lies in one class mod
+    ``2N``, so only every ``2N``-th digit of the packed trace is decoded.
+
+    Proof.  All congruences are of exponents, mod ``2N``.  Take a letter of
+    level ``n`` (``n = 1``, den 1, for a letter without a doublet) and let
+    ``k = K``, or ``-K`` for an inverse letter, whose entries have the same
+    closed forms with ``K -> -K`` and ``nN -> -nN``.  The exponents of
+    ``[n]_N`` are ``= (n-1)N``, so a singlet numerator ``+-q^(k +- N)
+    [n]_N`` has exponents ``= k + nN``, as ``-N = N``; so do the doublet's
+    diagonal entries ``r11`` and ``r22``, at ``k -+ nN``.  Off the diagonal,
+    ``r12 = q^k [n+1]_N [n-1]_N`` has exponents ``= k + 2(n-1)N = k``, and
+    ``r21 = q^k``.  A term of the trace is a closed walk through the path
+    basis, one entry per letter.  It leaves the diagonal only at a doublet,
+    toggling the path's step at that letter's level: from the arm side to
+    the leg side by an ``r12``, back by an ``r21``.  To close, the walk
+    toggles each level an even number of times, alternately by ``r12`` and
+    ``r21``, so these pair up at each level.  A pair at letters ``i`` and
+    ``j`` of level ``n`` gives ``k_i + k_j``, and diagonal entries there
+    would give ``k_i + k_j + 2nN = k_i + k_j``.  So every term is ``= sum
+    over the letters of (k + nN)``, one class for the whole trace.
+
+    The grade is taken from the operators (:class:`OperatorPlan`), and one
+    mask comparison checks the claim on every product: a nonzero digit off
+    the grade is an internal inconsistency.
+    """
+    cols, width, neg, exps, den, grade = _packed_product(ops)
     base = min(exps)
     total = 0
     for c, (col, e) in enumerate(zip(cols, exps)):
         x = col[c] << (e - base) * width
         total = total - x if neg >> c & 1 else total + x
-    return Trace(unpack(total, width, base), den)
+    if not total or grade == 1:
+        return Trace(unpack(total, width, base), den)
+    # drop the zero digits below the lowest term, whose lowest set bit lies in its own digit
+    low = ((total & -total).bit_length() - 1) // width
+    total >>= low * width
+    # each group of ``grade`` digits holds one coefficient, in its lowest digit:
+    # with 2**(width-1) added there, every digit above it must read zero
+    size = width // 8
+    groups = (abs(total).bit_length() // width) // grade + 1
+    gap = size * (grade - 1)
+    half = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(gap)) * groups, "little")
+    off = int.from_bytes((bytes(size) + b"\xff" * gap) * groups, "little")
+    if (total + half) & off:
+        raise InexactDivisionError(
+            f"trace of {len(ops)} operators on a path basis of {len(cols)}: a digit off "
+            f"the q^{grade} grade is nonzero (width {width})")
+    # read at q**grade = 2**(grade * width), each wide digit is the coefficient alone
+    return Trace(unpack(total, grade * width, base + low, grade), den)
 
 
 def _same_quotient(ra: NumeratorRows, da: LaurentPoly,

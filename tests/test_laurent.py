@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hookalex import laurent
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc,
-                              exact_div, pack, qnum, qnum_bullet, unpack)
+                              exact_div, pack, power_product, qnum, qnum_bullet, unpack)
 
 polys = st.builds(LaurentPoly, st.integers(-5, 5),
                   st.lists(st.integers(-9, 9), max_size=6))
@@ -206,6 +208,77 @@ def test_exact_div_inverts_multiplication(p, d):
     assert exact_div(p * d, d) == p
 
 
+@given(polys, nonzero_polys, polys, st.integers(1, 3), st.integers(1, 3), st.integers(-3, 3))
+def test_packed_division_matches_the_schoolbook_loop(p, d, r, j, k, s):
+    # the substitutions and the shift give operands of different steps and offsets
+    den = d.substitute_power(k).shift(s)
+    exact = p.substitute_power(j) * den
+    for num in (exact, exact + r, exact * 3 + 1):
+        if num.is_zero():  # answered before either division runs
+            continue
+        try:
+            want = laurent._schoolbook_div(num, den)
+        except InexactDivisionError:
+            with pytest.raises(InexactDivisionError) as exc:
+                exact_div(num, den)
+            assert len(str(exc.value)) < 300
+        else:
+            assert exact_div(num, den) == want
+            assert want * den == num
+    assert exact_div(exact, den) == p.substitute_power(j)
+
+
+def test_unit_monomial_division_is_a_shift():
+    p = qnum_bullet(3, 4).shift(5) + LaurentPoly.monomial(-7, 2)
+    for e in (-3, 0, 4):
+        assert exact_div(p, LaurentPoly.monomial(1, e)) == p.shift(-e)
+        assert exact_div(p, LaurentPoly.monomial(-1, e)) == -p.shift(-e)
+
+
+def test_division_across_steps_and_offsets():
+    a, b = qnum_bullet(6, 3).shift(7), qnum_bullet(4, 2).shift(-4)  # steps 6 and 4
+    c = LaurentPoly(-1, (2, 0, 0, -1, 0, 0, 5))  # step 3
+    num = a * b * c
+    assert exact_div(num, a) == b * c
+    assert exact_div(num, b * c) == a
+    assert exact_div(num, c.shift(2)) == (a * b).shift(-2)
+    with pytest.raises(InexactDivisionError):
+        exact_div(num + LaurentPoly.monomial(1, 1), a)
+
+
+def test_a_quotient_past_the_width_falls_back_to_the_schoolbook_loop(monkeypatch):
+    # ||num||_inf * ||den||_1 = 3 * 8 fits 8 bits, but the quotient's
+    # coefficients reach 1200: its packed value carries, and is not accepted.
+    one, q = LaurentPoly.one(), LaurentPoly.monomial(1, 1)
+    num, den = (one - q ** 40) ** 3, (one - q) ** 3
+    ran = []
+    schoolbook = laurent._schoolbook_div
+
+    def spy(a, b):
+        ran.append((a, b))
+        return schoolbook(a, b)
+
+    monkeypatch.setattr(laurent, "_schoolbook_div", spy)
+    quo = exact_div(num, den)
+    assert ran == [(num, den)]
+    assert quo == LaurentPoly(0, (1,) * 40) ** 3 and quo * den == num
+    assert max(quo.terms) >= 2 ** 7
+    ran.clear()
+    assert exact_div(num, one - q) == (one - q) ** 2 * LaurentPoly(0, (1,) * 40) ** 3
+    assert not ran  # a small quotient is accepted from the packed division
+
+
+def test_power_product():
+    q = LaurentPoly.monomial(1, 1)
+    factors = [(qnum_bullet(3, 2), 4), (qnum_bullet(2, 2), 1), (q * 5 - 3, 2)]
+    expected = LaurentPoly.one()
+    for p, n in factors:
+        expected = expected * p ** n
+    assert power_product(factors) == expected
+    assert power_product([]) == LaurentPoly.one()
+    assert power_product([(qnum(5), 0)]) == LaurentPoly.one()
+
+
 # -- strided storage ----------------------------------------------------------------------
 
 def _dense(p):
@@ -277,6 +350,34 @@ def test_unpack_bound_is_tight():
     width = 8
     p = LaurentPoly(0, (2 ** (width - 1), 1))
     assert unpack(pack(p, width), width, 0) != p
+
+
+def test_unpack_allocates_coefficients_at_their_own_size():
+    # Small coefficients decoded at a wide width are allocated no larger
+    # than the same polynomial built from literal ints.
+    coeffs = [(-1) ** i * (300 + i) for i in range(200)]
+    value = pack(LaurentPoly(-3, coeffs), 136)
+
+    def allocated(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            return tracemalloc.get_traced_memory()[0] - before, kept
+        finally:
+            tracemalloc.stop()
+
+    decoded, p = allocated(lambda: unpack(value, 136, -3))
+    built, r = allocated(lambda: LaurentPoly(-3, [int(text) for text in map(str, coeffs)]))
+    assert p == r
+    assert decoded <= built
+
+
+@given(polys, st.sampled_from([8, 16, 24]), st.integers(1, 3))
+def test_pack_roundtrip_in_a_power_of_q(p, width, k):
+    a = p.substitute_power(k)
+    assert unpack(pack(a, width, k), width, a.min_exp, k) == a
+    assert pack(a, width, k) == pack(p, width)
 
 
 @given(polys, st.sampled_from([8, 16, 24]))

@@ -9,7 +9,7 @@ import pytest
 
 from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
-from hookalex.laurent import LaurentPoly, qnum, qnum_bullet
+from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet
 from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, SignedMonomial, assemble_R,
                               commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
@@ -225,7 +225,7 @@ def _scalar_width(ops):
     """The width from ``dim * prod ||op||`` and ``prod ||op.den||_1`` alone."""
     plans = [op.numerator_rows() for op in ops]
     bound = ops[0].dim * math.prod(plan.norm for plan in plans)
-    den_bound = math.prod(plan.den_norm for plan in plans)
+    den_bound = math.prod(_norm(op.den) for op in ops)
     return 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
 
 
@@ -294,6 +294,60 @@ def test_stacked_pending_factors_match_dense_product():
                 assert tuple(trace_product(ops)) == _dense_trace(ops)
 
 
+def test_every_trace_lies_in_one_class_mod_2n():
+    # The claim trace_product decodes by, checked on the trace read digit by
+    # digit (the diagonal of product_numerators), which assumes no grade.
+    rng = random.Random(20261020)
+    for m in range(2, 9):
+        for h in hooks_up_to_size(3):
+            g = HookGraph(h, m)
+            letters = [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(2 * m + 3)]
+            for k in range(m):
+                ops = [assemble_R(g, k, abs(x), x < 0) for x in letters]
+                rows, _ = product_numerators(ops)
+                num = sum((row.get(i, LaurentPoly.zero()) for i, row in enumerate(rows)),
+                          LaurentPoly.zero())
+                assert len(num.terms) <= 1 or num.step % (2 * h.size) == 0
+                assert trace_product(ops).num == num
+
+
+def test_a_digit_off_the_grade_is_an_internal_error(monkeypatch):
+    # A 1x1 product packed at width 16 whose grade is 4: q^-2 (3 - 5q^4 + q^8),
+    # then the same with one stray term below, between or above its terms.
+    good = LaurentPoly(-2, (3, 0, 0, 0, -5, 0, 0, 0, 1))
+    trace = {}
+
+    def fake_product(ops):
+        p = trace["num"]
+        return [[pack(p, 16)]], 16, 0, [p.min_exp], LaurentPoly.one(), 4
+
+    monkeypatch.setattr(rmatrix, "_packed_product", fake_product)
+    trace["num"] = good
+    assert trace_product([None] * 7).num == good
+    for exp in (-5, -3, -1, 0, 1, 3, 5, 7, 9, 11):
+        for stray in (1, -1, 2 ** 14):
+            trace["num"] = good + LaurentPoly.monomial(stray, exp)
+            with pytest.raises(InexactDivisionError) as exc:
+                trace_product([None] * 7)
+            message = str(exc.value)
+            assert "7 operators on a path basis of 1" in message and len(message) < 300
+
+
+def test_trace_denominator_is_the_product_of_the_operator_dens():
+    # Inverse letters and repeated levels: each distinct den is raised to its count.
+    for m in (3, 4, 5):
+        for h in (Hook(0, 0), Hook(1, 0), Hook(1, 1), Hook(0, 2)):
+            g = HookGraph(h, m)
+            letters = [2, -2, m - 1, 2, -(m - 1), 1, 2, 2, -2, m - 1, -1]
+            for k in range(m):
+                ops = [assemble_R(g, k, abs(x), x < 0) for x in letters]
+                expected = LaurentPoly.one()
+                for op in ops:
+                    expected = expected * op.den
+                assert trace_product(ops).den == expected
+                assert product_numerators(ops)[1] == expected
+
+
 def test_doublet_free_products_keep_the_identity_columns():
     # Operators without a doublet only change the columns' pending factors:
     # the packed columns stay the identity's, and their plans pack nothing.
@@ -353,7 +407,6 @@ def test_plan_matches_its_rows():
                         plan = op.numerator_rows()
                         assert plan.norm == max(sum(_norm(p) for p in row.values())
                                                 for row in plan)
-                        assert plan.den_norm == _norm(op.den)
                         if op.doublets:
                             assert plan.exps is None
                         else:  # diagonal, with entries +-q**exps[c]
