@@ -8,7 +8,7 @@ headline capability is verifying the scaling identity
 
 from .braid import BraidWord, closure_is_knot, markov_variants, parse_braid
 from .evaluator import AlexanderResult, ScalingReport, alexander, check_scaling
-from .laurent import LaurentPoly, RationalFunc, qnum, qnum_bullet
+from .laurent import LaurentPoly, qnum, qnum_bullet
 from .oracle import burau_alexander
 from .young import Hook, Partition
 
@@ -18,7 +18,6 @@ __all__ = [
     "Hook",
     "LaurentPoly",
     "Partition",
-    "RationalFunc",
     "ScalingReport",
     "alexander",
     "burau_alexander",

@@ -1,4 +1,4 @@
-"""Exact arithmetic for integer Laurent polynomials and rational functions in q.
+"""Exact arithmetic for integer Laurent polynomials in q.
 
 `LaurentPoly` is the universal value type of the engine: every knot invariant
 it produces is an honest Laurent polynomial with integer coefficients, and
@@ -12,9 +12,9 @@ loudly if the division is not exact; it runs on packed ints too.  `pack` and
 back (Kronecker substitution); the operator product runs on such packed ints
 and decodes its result once, each coefficient at its own size.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
-traces of its mirrored vertices.  `RationalFunc`
-serves only the Schur oracle (quantum-dimension ratios and the Jacobi-Trudi
-determinant).
+traces of its mirrored vertices.  `det` is the one determinant routine,
+Bareiss elimination over any ring with an exact division: the Burau oracle
+runs it on packed ints, the Schur oracle on `Fraction` values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -32,6 +32,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 Scalar = Union[int, Fraction, float]
+Ring = TypeVar("Ring")
 
 
 @dataclass(init=False, frozen=True, slots=True)
@@ -107,13 +108,6 @@ class LaurentPoly:
             return self.terms[i]
         return 0
 
-    def content(self) -> int:
-        """gcd of all coefficients (0 for the zero polynomial)."""
-        return math.gcd(*self.terms)
-
-    def leading_coefficient(self) -> int:
-        return self.terms[-1] if self.terms else 0
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
@@ -160,6 +154,11 @@ class LaurentPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return LaurentPoly.zero()
+        p, mono = (other, self) if len(self.terms) == 1 else (self, other)
+        if len(mono.terms) == 1:  # a scaled shift keeps p's step and terms
+            c = mono.terms[0]
+            terms = p.terms if c == 1 else tuple([x * c for x in p.terms])
+            return _raw(p.min_exp + mono.min_exp, p.step, terms)
         if self.step == other.step:
             step, a, b = self.step, self.terms, other.terms
         else:
@@ -577,135 +576,53 @@ def _schoolbook_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return _build(num.min_exp - den.min_exp, step, quo)
 
 
-@dataclass(init=False, frozen=True, eq=False)
-class RationalFunc:
-    """A quotient of integer Laurent polynomials with a nonzero denominator.
+def _exact_int_div(num: int, den: int) -> int:
+    quo, rem = divmod(num, den)
+    if rem:
+        raise InexactDivisionError(f"a {num.bit_length()}-bit integer is not divisible "
+                                   f"by a {den.bit_length()}-bit one")
+    return quo
 
-    Normalization strips common monomial factors and integer content and makes
-    the denominator's leading coefficient positive; full gcd reduction is not
-    performed, so equality goes through cross-multiplication.
+
+def det(mat: Sequence[Sequence[Ring]], divide: Callable[[Ring, Ring], Ring] = _exact_int_div,
+        zero: Ring = 0, one: Ring = 1) -> Ring:
+    """Determinant over an integral domain by fraction-free (Bareiss) elimination.
+
+    Step k replaces each entry below and right of the pivot by the 2 x 2
+    minor with the pivot row and column, divided by the previous pivot; the
+    division is exact (Sylvester's identity), so ``divide`` must return the
+    exact quotient or raise :class:`InexactDivisionError`, which comes back
+    naming the step and the entry.  Every entry stays in the ring, and the
+    last one is the determinant.  A zero pivot swaps in a lower row with a
+    nonzero entry, flipping the sign; none means the determinant is zero.
+    The defaults are the integers; ``exact_div`` with the zero and one of
+    `LaurentPoly` gives the polynomial determinant, and true division with
+    ``Fraction(0)`` and ``Fraction(1)`` the rational one.
+
+    >>> det([[0, 2, 3], [4, 5, 6], [7, 8, 10]])
+    -5
+    >>> det([[Fraction(1, 2), 1], [Fraction(1, 3), 2]], lambda x, y: x / y,
+    ...     Fraction(0), Fraction(1))
+    Fraction(2, 3)
     """
-
-    num: LaurentPoly
-    den: LaurentPoly
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = LaurentPoly.one()):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = LaurentPoly.zero(), LaurentPoly.one()
-        else:
-            drop = min(num.min_exp, den.min_exp)
-            num, den = num.shift(-drop), den.shift(-drop)
-            g = math.gcd(num.content(), den.content())
-            if g > 1:
-                num = LaurentPoly(num.min_exp, tuple(c // g for c in num.coeffs))
-                den = LaurentPoly(den.min_exp, tuple(c // g for c in den.coeffs))
-            if den.leading_coefficient() < 0:
-                num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> RationalFunc:
-        return cls(LaurentPoly.zero())
-
-    @classmethod
-    def one(cls) -> RationalFunc:
-        return cls(LaurentPoly.one())
-
-    @classmethod
-    def from_int(cls, n: int) -> RationalFunc:
-        return cls(LaurentPoly.constant(n))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    # -- field operations ------------------------------------------------------
-
-    def __add__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunc:
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        return (-self) + other
-
-    def __mul__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RationalFunc:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RationalFunc(self.den, self.num)
-
-    def __truediv__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: RationalFunc | LaurentPoly | int) -> RationalFunc:
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, n: int) -> RationalFunc:
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RationalFunc(self.num ** n, self.den ** n)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, LaurentPoly)):
-            other = _coerce(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # cross-multiplied equality is incompatible with hashing
-
-    # -- extraction ------------------------------------------------------------
-
-    def as_laurent(self) -> LaurentPoly:
-        """Extract an exact polynomial quotient; raises if division is inexact."""
-        return exact_div(self.num, self.den)
-
-    def evaluate(self, q: Scalar) -> Scalar:
-        """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
-        return self.num.evaluate(q) / self.den.evaluate(q)
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunc('{self}')"
-
-
-def _coerce(value: RationalFunc | LaurentPoly | int):
-    if isinstance(value, RationalFunc):
-        return value
-    if isinstance(value, LaurentPoly):
-        return RationalFunc(value)
-    if isinstance(value, int):
-        return RationalFunc.from_int(value)
-    return NotImplemented
+    a = [list(r) for r in mat]
+    n = len(a)
+    sign, prev = 1, one
+    try:
+        for k in range(n - 1):
+            if a[k][k] == zero:
+                swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
+                if swap is None:
+                    return zero
+                a[k], a[swap] = a[swap], a[k]
+                sign = -sign
+            pivot, top = a[k][k], a[k]
+            for i in range(k + 1, n):
+                row = a[i]
+                lead = row[k]
+                for j in range(k + 1, n):
+                    row[j] = divide(row[j] * pivot - lead * top[j], prev)
+            prev = pivot
+    except InexactDivisionError as e:
+        raise InexactDivisionError(f"Bareiss step {k}, entry ({i}, {j}): {e}") from None
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]

@@ -42,23 +42,23 @@ and likewise by rows.  The bound is taken from the decoded entries: the
 a-priori ``u`` ignores cancellation and would widen long products many times
 over.  Each entry is repacked at the width that holds this bound, over
 ``t^(a_r + b_c)`` with ``a_r`` the least exponent in its row and ``b_c`` then
-in its column, and Bareiss elimination (:func:`_det`) runs on the integer
-matrix.  It is exact over Z with any pivot order, and evaluation is a ring
-homomorphism, so the result is ``t^-(sum a + sum b) det A`` at ``t = 2^w``,
-and it decodes exactly.
+in its column, and Bareiss elimination runs on the integer matrix, through
+:func:`hookalex.laurent.det`, the package's one determinant routine.  It is
+exact over Z with any pivot order, and evaluation is a ring homomorphism, so
+the result is ``t^-(sum a + sum b) det A`` at ``t = 2^w``, and it decodes
+exactly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .evaluator import unit_normalize
-from .laurent import InexactDivisionError, LaurentPoly, exact_div, pack, packing_width, unpack
+from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unpack
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
-Ring = TypeVar("Ring")
 
 
 def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -137,51 +137,6 @@ def burau_matrix(b: BraidWord) -> Matrix:
     return tuple(zip(*_decode(*_packed_product(b))))
 
 
-def _exact_int_div(num: int, den: int) -> int:
-    quo, rem = divmod(num, den)
-    if rem:
-        raise InexactDivisionError(f"a {num.bit_length()}-bit integer is not divisible "
-                                   f"by a {den.bit_length()}-bit one")
-    return quo
-
-
-def _det(mat: Sequence[Sequence[Ring]], divide: Callable[[Ring, Ring], Ring] = _exact_int_div,
-         zero: Ring = 0, one: Ring = 1) -> Ring:
-    """Determinant over an integral domain by fraction-free (Bareiss) elimination.
-
-    Step k replaces each entry below and right of the pivot by the 2 x 2
-    minor with the pivot row and column, divided by the previous pivot; the
-    division is exact (Sylvester's identity), so ``divide`` must return the
-    exact quotient or raise :class:`InexactDivisionError`, which comes back
-    naming the step and the entry.  Every entry stays in the ring, and the
-    last one is the determinant.  A zero pivot swaps in a lower row with a
-    nonzero entry, flipping the sign; none means the determinant is zero.
-    The defaults are the integers; ``exact_div`` with the zero and one of
-    ``LaurentPoly`` gives the polynomial determinant.
-    """
-    a = [list(r) for r in mat]
-    n = len(a)
-    sign, prev = 1, one
-    try:
-        for k in range(n - 1):
-            if a[k][k] == zero:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != zero), None)
-                if swap is None:
-                    return zero
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            pivot, top = a[k][k], a[k]
-            for i in range(k + 1, n):
-                row = a[i]
-                lead = row[k]
-                for j in range(k + 1, n):
-                    row[j] = divide(row[j] * pivot - lead * top[j], prev)
-            prev = pivot
-    except InexactDivisionError as e:
-        raise InexactDivisionError(f"Bareiss step {k}, entry ({i}, {j}): {e}") from None
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
-
-
 def _hadamard_bound(cols: Sequence[Sequence[LaurentPoly]]) -> int:
     """A bound on every coefficient of ``det A``, from the entry 1-norms of ``A`` by column.
 
@@ -213,6 +168,6 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
                for col in delta]
     mat = [[pack(p, width) << width * (p.min_exp - low - c_low) if p.terms else 0
             for p, c_low in zip(row, col_low)] for row, low in zip(rows, row_low)]
-    det = unpack(_det(mat), width, sum(row_low) + sum(col_low))
+    delta_det = unpack(det(mat), width, sum(row_low) + sum(col_low))
     circular = LaurentPoly(0, (1,) * b.strands)  # 1 + t + ... + t^(m-1)
-    return unit_normalize(exact_div(det, circular).substitute_power(2))
+    return unit_normalize(exact_div(delta_det, circular).substitute_power(2))

@@ -95,10 +95,6 @@ class SignedMonomial:
     def __pow__(self, n: int) -> SignedMonomial:
         return SignedMonomial(self.sign if n % 2 else 1, self.exponent * n)
 
-    def evaluate(self, q):
-        """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
-        return self.as_laurent().evaluate(q)
-
     def __str__(self) -> str:
         return str(self.as_laurent())
 

@@ -15,7 +15,10 @@ m-th tensor power the surviving ratio is ``(-1)^(l+s) [N] / [mN]`` with
 contributes zero.  The evaluator takes its weights from that closed form
 (:func:`hook_weight`); the factor lists, and the Jacobi-Trudi determinant over
 complete homogeneous functions built from the power sums, are the independent
-oracle for it.
+oracle for it.  A ratio is an integer pair ``(num, den)`` of Laurent
+polynomials, compared by cross-multiplying; the power sums, the complete
+homogeneous functions and the determinant are `Fraction` values at a rational
+point ``(A, q)``, the determinant taken by :func:`hookalex.laurent.det`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, RationalFunc, qnum_bullet
+from .laurent import LaurentPoly, det, qnum_bullet
 from .young import Hook, Partition
 
 
@@ -57,20 +60,22 @@ def _difference(exp: int) -> LaurentPoly:
     return LaurentPoly.monomial(1, exp) - LaurentPoly.monomial(1, -exp)
 
 
-def ratio_at_A1(color: Hook, mu: Partition) -> RationalFunc:
-    """Ratio of quantum dimensions dim(mu)/dim(color) in the A -> 1 limit.
+def ratio_at_A1(color: Hook, mu: Partition) -> tuple[LaurentPoly, LaurentPoly]:
+    """Ratio of quantum dimensions dim(mu)/dim(color) in the A -> 1 limit, as ``(num, den)``.
 
     Requires |mu| to be a multiple of the color size.  Zero when ``mu`` has
     diagonal length > 1; for one-hook ``mu`` the single vanishing factor of
     each side cancels and the rest evaluates at A = 1.
 
-    >>> ratio_at_A1(Hook(0, 0), Partition((2, 1, 1))) == ratio_closed_form(Hook(0, 0), Hook(1, 2))
+    >>> num, den = ratio_at_A1(Hook(0, 0), Partition((2, 1, 1)))
+    >>> sign, bullet = ratio_closed_form(Hook(0, 0), Hook(1, 2))
+    >>> num * bullet == sign * den
     True
     """
     if mu.size % color.size != 0 or mu.size < color.size:
         raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
     if mu.diagonal_length > 1:
-        return RationalFunc.zero()
+        return LaurentPoly.zero(), LaurentPoly.one()
     num = LaurentPoly.one()
     den = LaurentPoly.one()
     for c in mu.contents():
@@ -83,7 +88,7 @@ def ratio_at_A1(color: Hook, mu: Partition) -> RationalFunc:
     for c in color.as_partition().contents():
         if c != 0:
             den = den * _difference(c)
-    return RationalFunc(num, den)
+    return num, den
 
 
 def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
@@ -100,81 +105,58 @@ def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
     return (-1 if (color.leg + mu.leg) % 2 else 1), m
 
 
-def ratio_closed_form(color: Hook, mu: Hook) -> RationalFunc:
-    """The same ratio from the closed form :func:`hook_weight` as a rational function."""
+def ratio_closed_form(color: Hook, mu: Hook) -> tuple[LaurentPoly, LaurentPoly]:
+    """The same ratio from the closed form :func:`hook_weight`, as ``(sign, [m]_N)``."""
     sign, m = hook_weight(color, mu)
-    return RationalFunc(LaurentPoly.constant(sign), qnum_bullet(m, color.size))
+    return LaurentPoly.constant(sign), qnum_bullet(m, color.size)
 
 
 @dataclass(frozen=True)
 class PowerSumSpec:
     """Power-sum values p_1..p_degree feeding the Jacobi-Trudi oracle."""
 
-    values: tuple[RationalFunc, ...]
+    values: tuple[Fraction, ...]
 
     @property
     def degree(self) -> int:
         return len(self.values)
 
-    def p(self, k: int) -> RationalFunc:
+    def p(self, k: int) -> Fraction:
         if not 1 <= k <= self.degree:
             raise ValueError(f"power sum p_{k} outside degree bound {self.degree}")
         return self.values[k - 1]
 
 
-def topological_power_sums(a: Fraction, degree: int) -> PowerSumSpec:
-    """p_k = (A^k - A^-k)/(q^k - q^-k) at a fixed rational A, as functions of q."""
-    values = []
-    for k in range(1, degree + 1):
-        diff = a ** k - a ** -k
-        num = LaurentPoly.constant(diff.numerator)
-        den = LaurentPoly.constant(diff.denominator) * _difference(k)
-        values.append(RationalFunc(num, den))
-    return PowerSumSpec(tuple(values))
+def topological_power_sums(a: Fraction, q: Fraction, degree: int) -> PowerSumSpec:
+    """p_k = (A^k - A^-k)/(q^k - q^-k) at the rational point (A, q)."""
+    return PowerSumSpec(tuple([(a ** k - a ** -k) / (q ** k - q ** -k)
+                               for k in range(1, degree + 1)]))
 
 
-def complete_homogeneous(spec: PowerSumSpec, max_degree: int) -> list[RationalFunc]:
+def complete_homogeneous(spec: PowerSumSpec, max_degree: int) -> list[Fraction]:
     """h_0..h_max_degree from Newton's identity n*h_n = sum_k p_k h_(n-k)."""
     if max_degree > spec.degree:
         raise ValueError(f"need power sums up to p_{max_degree}, have {spec.degree}")
-    hs = [RationalFunc.one()]
+    hs = [Fraction(1)]
     for n in range(1, max_degree + 1):
-        acc = RationalFunc.zero()
-        for k in range(1, n + 1):
-            acc = acc + spec.p(k) * hs[n - k]
-        hs.append(acc / n)
+        hs.append(sum([spec.p(k) * hs[n - k] for k in range(1, n + 1)], Fraction(0)) / n)
     return hs
 
 
-def _determinant(mat: list[list[RationalFunc]]) -> RationalFunc:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = RationalFunc.zero()
-    sign = 1
-    for j in range(n):
-        if not mat[0][j].is_zero():
-            minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-            total = total + mat[0][j] * _determinant(minor) * sign
-        sign = -sign
-    return total
-
-
-def jacobi_trudi_schur(nu: Partition, spec: PowerSumSpec) -> RationalFunc:
+def jacobi_trudi_schur(nu: Partition, spec: PowerSumSpec) -> Fraction:
     """Schur value via det(h_(nu_i - i + j)); independent oracle for factor lists.
 
-    >>> ps = topological_power_sums(Fraction(2), 2)
+    >>> ps = topological_power_sums(Fraction(2), Fraction(3, 2), 2)
     >>> jacobi_trudi_schur(Partition((1,)), ps) == ps.p(1)
     True
     """
     if not nu.parts:
-        return RationalFunc.one()
+        return Fraction(1)
     rows = len(nu.parts)
     hs = complete_homogeneous(spec, nu.parts[0] + rows - 1)
-    zero = RationalFunc.zero()
 
-    def h(k: int) -> RationalFunc:
-        return zero if k < 0 else hs[k]
+    def h(k: int) -> Fraction:
+        return Fraction(0) if k < 0 else hs[k]
 
     mat = [[h(nu.parts[i] - (i + 1) + (j + 1)) for j in range(rows)] for i in range(rows)]
-    return _determinant(mat)
+    return det(mat, lambda x, y: x / y, Fraction(0), Fraction(1))

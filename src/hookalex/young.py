@@ -189,10 +189,6 @@ class Path:
 
     choices: tuple[int, ...]
 
-    @property
-    def end_index(self) -> int:
-        return sum(self.choices)
-
     def vertex_index(self, n: int) -> int:
         """Index of the path's vertex at level ``n``."""
         return sum(self.choices[: n - 1])

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from typing import Sequence
 
 import pytest
@@ -18,6 +19,21 @@ settings.load_profile("ci")
 # Braid corpus for the scaling and invariance checks: the CLI's table corpus.
 # Entries whose closure is a link are filtered out at use sites.
 CORPUS = parse_table_braids(DEFAULT_TABLE_BRAIDS)
+
+
+# Rational points (A, q) at which the Schur oracle compares Jacobi-Trudi with the factor lists.
+SCHUR_POINTS = (
+    (Fraction(2), Fraction(3, 2)),
+    (Fraction(3, 2), Fraction(2)),
+    (Fraction(5, 2), Fraction(3)),
+    (Fraction(3), Fraction(4, 3)),
+    (Fraction(7, 4), Fraction(5, 2)),
+)
+
+
+def same_ratio(x, y) -> bool:
+    """Whether the ``(num, den)`` pairs ``x`` and ``y`` are the same fraction."""
+    return x[0] * y[1] == y[0] * x[1]
 
 
 def corpus_knots() -> list[BraidWord]:
@@ -129,7 +145,7 @@ def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
     sign = -1.0 if h.leg % 2 else 1.0
     mat = [[0.0] * op.dim for _ in range(op.dim)]
     for idx, scalar in op.singlets:
-        mat[idx][idx] = float(scalar.evaluate(q))
+        mat[idx][idx] = float(scalar.as_laurent().evaluate(q))
     for (a, b), block in op.doublets:
         n = block.level
         bullet = _qnum_bullet_float(n, size, q)

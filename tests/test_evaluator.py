@@ -1,12 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from hookalex.braid import NotAKnotError, closure_is_knot, markov_variants, parse_braid
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
-from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc, exact_div,
-                              qnum_bullet)
+from hookalex.laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.schur import hook_weight
@@ -82,14 +82,18 @@ def test_contributions_reassemble_polynomial():
     assert unit_normalize(raw) == res.polynomial
 
 
-def test_vertex_sum_constructs_no_rational_function(monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("RationalFunc constructed on the evaluation path")
+def test_evaluation_constructs_no_fraction(monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction constructed on the evaluation path")
 
     b = parse_braid("1 -2 3 -2 1 2 -3", 4)
-    expected = alexander(Hook(0, 0), b).polynomial.substitute_power(4)
-    monkeypatch.setattr(RationalFunc, "__init__", refuse)
+    fundamental = alexander(Hook(0, 0), b).polynomial
+    expected = fundamental.substitute_power(4)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="evaluation path"):
+        Fraction(1)
     assert alexander(Hook(2, 1), b).polynomial == expected
+    assert burau_alexander(b) == fundamental
 
 
 @pytest.mark.parametrize("strands,length", [(3, 3), (4, 20), (5, 2)])

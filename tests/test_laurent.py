@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookalex import laurent
-from hookalex.laurent import (InexactDivisionError, LaurentPoly, RationalFunc,
-                              exact_div, pack, power_product, qnum, qnum_bullet, unpack)
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, power_product,
+                              qnum, qnum_bullet, unpack)
 
 polys = st.builds(LaurentPoly, st.integers(-5, 5),
                   st.lists(st.integers(-9, 9), max_size=6))
@@ -299,6 +299,14 @@ def test_strided_arithmetic_matches_dense(p, r, k, m, s):
     assert _dense(a * b) == {e: c for e, c in prod.items() if c}
 
 
+@given(strided, st.integers(-9, 9).filter(bool), st.integers(-4, 4))
+def test_monomial_product_is_a_scaled_shift(p, c, e):
+    m = LaurentPoly.monomial(c, e)
+    for prod in (p * m, m * p):
+        assert prod == p.shift(e) * c
+        assert prod == LaurentPoly(prod.min_exp, prod.coeffs)
+
+
 @given(polys, st.integers(1, 4), st.integers(-3, 3))
 def test_step_is_the_gcd_of_exponent_gaps(p, k, s):
     a = p.substitute_power(k).shift(s)
@@ -385,56 +393,9 @@ def test_pack_roundtrip(p, width):
     assert unpack(pack(p, width), width, p.min_exp) == p
 
 
-# -- rational functions ---------------------------------------------------------------
-
-def test_rational_like_denominators():
-    half = RationalFunc(LaurentPoly.one(), qnum(2))
-    assert half + half == RationalFunc(LaurentPoly.constant(2), qnum(2))
-
-
-def test_rational_field_axioms():
-    x = RationalFunc(qnum(3), qnum(2))
-    assert x * x.inverse() == RationalFunc.one()
-    assert x * qnum(2) == qnum(3)
-
-
-def test_rational_zero_inverse_is_distinct_error():
-    with pytest.raises(ZeroDivisionError):
-        RationalFunc.zero().inverse()
-    with pytest.raises(ZeroDivisionError):
-        RationalFunc(Q, LaurentPoly.zero())
-
-
-def test_rational_cross_multiplied_equality():
-    a = RationalFunc(qnum(4), qnum(2))
-    b = RationalFunc(qnum(4) * qnum(3), qnum(2) * qnum(3))
-    assert a == b
-    assert a != a + 1
-
-
-def test_rational_negative_powers():
-    x = RationalFunc(qnum(2), qnum(3))
-    assert x ** -2 == (x.inverse()) ** 2
-    assert x ** 0 == RationalFunc.one()
-
-
-def test_rational_evaluate_exact():
-    x = RationalFunc(qnum(3), qnum(2))
-    q = Fraction(3, 2)
-    expected = (q ** 2 + 1 + q ** -2) / (q + 1 / q)
-    assert x.evaluate(q) == expected
-
-
 def test_evaluate_int_input_is_exact():
     value = LaurentPoly(-2, (1, 0, -1, 0, 1)).evaluate(3)
     assert isinstance(value, Fraction) and value == Fraction(73, 9)
-    value = RationalFunc(qnum(3), qnum(2)).evaluate(2)
-    assert isinstance(value, Fraction) and value == Fraction(21, 10)
-
-
-@given(nonzero_polys)
-def test_as_laurent_roundtrip(p):
-    assert RationalFunc(p * qnum(2), qnum(2)).as_laurent() == p
 
 
 # -- rendering ----------------------------------------------------------------------

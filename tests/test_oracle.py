@@ -8,9 +8,9 @@ import pytest
 from hookalex import oracle
 from hookalex.braid import BraidWord, NotAKnotError, markov_variants, parse_braid
 from hookalex.evaluator import unit_normalize
-from hookalex.laurent import InexactDivisionError, LaurentPoly, exact_div
-from hookalex.oracle import (_column_bounds, _det, _exact_int_div, _hadamard_bound,
-                             _letter_row, _packed_product, burau_alexander, burau_matrix)
+from hookalex.laurent import InexactDivisionError, LaurentPoly, _exact_int_div, det, exact_div
+from hookalex.oracle import (_column_bounds, _hadamard_bound, _letter_row, _packed_product,
+                             burau_alexander, burau_matrix)
 
 from conftest import random_knot, random_knot_braids, torus_braid, torus_closed_form
 
@@ -137,9 +137,9 @@ def _check_against_leibniz(entry, divide, zero, one):
             if n > 1 and rng.random() < 0.2:  # a repeated row makes the matrix singular
                 mat[-1] = list(mat[0])
                 singular += 1
-            assert _det(mat, divide, zero, one) == _leibniz(mat, zero, one)
+            assert det(mat, divide, zero, one) == _leibniz(mat, zero, one)
     # a first column of zeros leaves no pivot to swap in
-    assert _det([[zero, one], [zero, one]], divide, zero, one) == zero
+    assert det([[zero, one], [zero, one]], divide, zero, one) == zero
     assert swapped and singular
 
 
@@ -153,11 +153,11 @@ def test_integer_bareiss_matches_leibniz():
 
 def test_integer_bareiss_swaps_rows_and_finds_singular_matrices():
     swap = [[0, 2, 3], [4, 5, 6], [7, 8, 10]]  # a zero first pivot
-    assert _det(swap) == _leibniz(swap, 0, 1) == -5
+    assert det(swap) == _leibniz(swap, 0, 1) == -5
     late = [[1, 2, 3], [2, 4, 7], [1, 5, 2]]  # the second pivot vanishes after step 0
-    assert _det(late) == _leibniz(late, 0, 1) == -3
+    assert det(late) == _leibniz(late, 0, 1) == -3
     singular = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
-    assert _det(singular) == _leibniz(singular, 0, 1) == 0
+    assert det(singular) == _leibniz(singular, 0, 1) == 0
 
 
 def test_inexact_division_names_the_step_and_the_entry():
@@ -168,7 +168,7 @@ def test_inexact_division_names_the_step_and_the_entry():
         return _exact_int_div(num, 2 * den)
 
     with pytest.raises(InexactDivisionError) as exc:
-        _det([[1, 2, 4], [3, 5, 6], [7, 8, 9]], halved)
+        det([[1, 2, 4], [3, 5, 6], [7, 8, 9]], halved)
     message = str(exc.value)
     assert "Bareiss step 0, entry (1, 1)" in message and "-bit integer" in message
 
@@ -193,9 +193,9 @@ def test_entries_and_determinant_stay_within_their_bounds():
             delta = [[(_ONE if r == c else _ZERO) - burau[r][c] for c in range(n)]
                      for r in range(n)]
             assert max(abs(x) for row in delta for p in row for x in p.terms) < 2 ** (width - 1)
-            det = _det(delta, exact_div, _ZERO, _ONE)
+            value = det(delta, exact_div, _ZERO, _ONE)
             bound = _hadamard_bound([list(col) for col in zip(*delta)])
-            assert max(abs(x) for x in det.terms) <= bound
+            assert max(abs(x) for x in value.terms) <= bound
 
 
 # -- Alexander values -----------------------------------------------------------------
@@ -247,8 +247,8 @@ def _dense_alexander(b):
     burau = _dense_burau(b)
     n = b.strands - 1
     delta = [[(_ONE if i == j else _ZERO) - burau[i][j] for j in range(n)] for i in range(n)]
-    det = _det(delta, exact_div, _ZERO, _ONE)
-    return unit_normalize(exact_div(det, LaurentPoly(0, (1,) * b.strands)).substitute_power(2))
+    value = det(delta, exact_div, _ZERO, _ONE)
+    return unit_normalize(exact_div(value, LaurentPoly(0, (1,) * b.strands)).substitute_power(2))
 
 
 def test_matches_dense_laurent_reference():

@@ -10,7 +10,7 @@ import pytest
 from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
 from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet
-from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, SignedMonomial, assemble_R,
+from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
                               commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
                               product_numerators, trace_product,
@@ -54,13 +54,6 @@ def test_framing_normalizes_eigenvalues():
         ev, phi = hook_eigenvalues(h), framing_factor(h)
         assert (ev.arm * phi.inverse()).as_laurent() == mono(1, h.size)
         assert (ev.leg * phi.inverse()).as_laurent() == mono(-1, -h.size)
-
-
-def test_signed_monomial_evaluate_int_input_is_exact():
-    value = SignedMonomial(1, -2).evaluate(3)
-    assert isinstance(value, Fraction) and value == Fraction(1, 9)
-    assert SignedMonomial(-1, 3).evaluate(2) == -8
-    assert SignedMonomial(-1, -1).evaluate(Fraction(2, 3)) == Fraction(-3, 2)
 
 
 # -- doublet blocks -----------------------------------------------------------------
