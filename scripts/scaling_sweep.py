@@ -12,7 +12,7 @@ import time
 from hookalex.braid import BraidError, closure_is_knot
 from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
 from hookalex.evaluator import check_scaling
-from hookalex.young import StrandBudgetError, check_strands, hooks_up_to_size
+from hookalex.young import hooks_up_to_size
 
 
 def main() -> int:
@@ -26,10 +26,6 @@ def main() -> int:
 
     try:
         parsed = parse_table_braids(tuple(s for s in args.braids.split(";") if s.strip()))
-        for b in parsed:
-            check_strands(b.strands)
-    except StrandBudgetError as exc:
-        ap.error(f"--braids: {exc}")
     except BraidError as exc:
         ap.error(str(exc))
     braids = []

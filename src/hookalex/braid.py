@@ -1,4 +1,4 @@
-"""Braid words, validation, writhe, and Markov-move utilities.
+"""Braid words, validation, writhe, and closure components.
 
 A braid on ``m`` strands is a sequence of nonzero letters ``g`` with
 ``1 <= |g| <= m - 1``; the sign is the crossing sign.  The engine only
@@ -8,9 +8,7 @@ rejected up front.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class BraidError(ValueError):
@@ -94,34 +92,3 @@ def closure_is_knot(b: BraidWord) -> bool:
         j = perm[j]
         seen += 1
     return seen == b.strands
-
-
-def conjugate(b: BraidWord, word: Sequence[int]) -> BraidWord:
-    """The conjugated braid  word . b . word^-1  on the same strand count."""
-    inverse = tuple(-g for g in reversed(word))
-    return BraidWord(b.strands, tuple(word) + b.letters + inverse)
-
-
-def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
-    """Markov stabilization: add a strand and append the new generator once."""
-    if sign not in (1, -1):
-        raise ValueError("stabilization sign must be +1 or -1")
-    return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
-
-
-@dataclass(frozen=True)
-class MarkovVariants:
-    conjugates: tuple[BraidWord, ...]
-    stabilized_pos: BraidWord
-    stabilized_neg: BraidWord
-
-
-def markov_variants(b: BraidWord, count: int = 5, seed: int = 0) -> MarkovVariants:
-    """Sampled conjugates plus both stabilizations, for invariance testing."""
-    rng = random.Random(seed)
-    gens = [g for i in range(1, b.strands) for g in (i, -i)]
-    conjugates = []
-    for _ in range(count):
-        word = [rng.choice(gens) for _ in range(rng.randint(1, 2))]
-        conjugates.append(conjugate(b, word))
-    return MarkovVariants(tuple(conjugates), stabilize(b, 1), stabilize(b, -1))

@@ -15,7 +15,7 @@ from .evaluator import NormalizationError, ScalingReport, alexander, check_scali
 from .laurent import InexactDivisionError
 from .oracle import burau_alexander
 from .rmatrix import commutation_holds, yang_baxter_holds
-from .young import Hook, HookGraph, hooks_up_to_size
+from .young import Hook, HookGraph, check_strands, hooks_up_to_size
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,7 +115,10 @@ def _braid(cfg: RunConfig) -> BraidWord:
 
 
 def parse_table_braids(entries: tuple[str, ...]) -> list[BraidWord]:
-    """Parse ``letters@strands`` entries; a malformed one raises BraidError naming --braids."""
+    """Parse ``letters@strands`` entries; a malformed one raises BraidError naming --braids.
+
+    So does an entry above the strand limit, before any entry is evaluated.
+    """
     braids = []
     for item in entries:
         text, _, strands = item.partition("@")
@@ -127,6 +130,7 @@ def parse_table_braids(entries: tuple[str, ...]) -> list[BraidWord]:
             raise BraidError(f"--braids: bad strand count in {item!r}") from None
         try:
             braids.append(parse_braid(text.strip(), count))
+            check_strands(count)
         except BraidError as exc:
             raise BraidError(f"--braids: {exc}") from exc
     return braids
@@ -134,10 +138,9 @@ def parse_table_braids(entries: tuple[str, ...]) -> list[BraidWord]:
 
 def record_for(report: ScalingReport) -> dict:
     """The documented JSON record for one (braid, hook) evaluation."""
-    b = report.braid
     return {
-        "braid": " ".join(str(g) for g in b.letters),
-        "strands": b.strands,
+        "braid": str(report.braid),
+        "strands": report.braid.strands,
         "arm": report.hook.arm,
         "leg": report.hook.leg,
         "alexander": report.colored.to_json_dict(),

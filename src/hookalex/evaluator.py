@@ -82,17 +82,20 @@ class NormalizationError(ArithmeticError):
 def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     """Multiply by the unit +-q^j giving a symmetric exponent range and value +1 at q=1."""
     if p.is_zero():
-        raise NormalizationError("cannot normalize the zero polynomial")
+        raise NormalizationError("normalization: the polynomial is 0")
     span = p.min_exp + p.degree()
     if span % 2 != 0:
-        raise NormalizationError(f"exponent range of ({p.summary()}) cannot be centered")
+        raise NormalizationError(
+            f"normalization: the exponent range of ({p.summary()}) cannot be centered")
     centered = p.shift(-span // 2)
     v = centered.at_one()
     if v == 1:
         return centered
     if v == -1:
         return -centered
-    raise NormalizationError(f"value at q=1 is {v}, expected a unit")
+    value = v if abs(v).bit_length() <= 64 else f"a {abs(v).bit_length()}-bit integer"
+    raise NormalizationError(
+        f"normalization: the value at q=1 of ({p.summary()}) is {value}, not a unit")
 
 
 def _mirror(trace: Trace, k: int) -> Trace:
@@ -166,8 +169,13 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
         contributions.append((vertex, (num if lift.is_one() else lift * num) * sign))
     total = sum((num for _, num in contributions), LaurentPoly.zero())
     denominator = qnum_bullet(m, color.size) * common
-    correction = framing_factor(color) ** (-b.writhe)
-    poly = exact_div(total, denominator).shift(correction.exponent) * correction.sign
+    try:
+        quotient = exact_div(total, denominator)
+    except InexactDivisionError as exc:
+        raise InexactDivisionError(
+            f"vertex sum: final division on m={m} strands: ({total.summary()}) is not "
+            f"divisible by ({denominator.summary()})") from exc
+    poly = quotient * framing_factor(color) ** (-b.writhe)
     return AlexanderResult(unit_normalize(poly), color, b, tuple(contributions), denominator)
 
 

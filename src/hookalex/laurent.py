@@ -1,8 +1,10 @@
 """Exact arithmetic for integer Laurent polynomials in q.
 
-`LaurentPoly` is the universal value type of the engine: every knot invariant
-it produces is an honest Laurent polynomial with integer coefficients, and
-every intermediate value is one too.  It is stored strided, as
+`LaurentPoly` is the one value type of the engine: every knot invariant it
+produces is an honest Laurent polynomial with integer coefficients, and every
+intermediate value is one too, down to the crossing eigenvalues and the
+framing factor, signed monomials ``+-q^e`` whose powers ``**`` takes in closed
+form (negative ones included).  It is stored strided, as
 ``q**min_exp * p(q**step)`` with ``step`` the gcd of its exponent gaps, so
 polynomials in ``q**N`` (colored invariants, bullet q-numbers) carry no runs
 of zeros.  The evaluator's single division of the
@@ -19,9 +21,7 @@ runs it on packed ints, the Schur oracle on `Fraction` values.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar, Union
@@ -175,10 +175,17 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if len(self.terms) == 1 and self.terms[0] in (1, -1):
-                return LaurentPoly.monomial(self.terms[0], -self.min_exp) ** (-n)
+        """``self**n``; a one-term base ``c q^e`` gives ``c**n q^(e n)`` in closed form.
+
+        A negative ``n`` needs a unit base ``+-q^e``.
+
+        >>> LaurentPoly.monomial(-1, 3) ** -3
+        LaurentPoly('-q^-9')
+        """
+        if n < 0 and not (len(self.terms) == 1 and self.terms[0] in (1, -1)):
             raise ValueError("negative power of a non-unit Laurent polynomial")
+        if len(self.terms) == 1:  # closed form, so no product grows with n
+            return _raw(self.min_exp * n, 1, (self.terms[0] ** abs(n),))
         result = LaurentPoly.one()
         base = self
         while n:
@@ -208,12 +215,6 @@ class LaurentPoly:
             return self
         step = self.step * k if len(self.terms) > 1 else 1
         return _raw(self.min_exp * k, step, self.terms)
-
-    def invert_variable(self) -> LaurentPoly:
-        """Substitute q -> q**-1."""
-        if self.is_zero():
-            return self
-        return _raw(-self.degree(), self.step, self.terms[::-1])
 
     def substitute_neg_inverse(self) -> LaurentPoly:
         """Substitute q -> -q**-1, the transposition symmetry of one-hook colors.
@@ -294,50 +295,8 @@ class LaurentPoly:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
 
-    _TERM = re.compile(r"([+-]?)(\d+)?(q(?:\^(-?\d+))?)?")
-
-    @classmethod
-    def from_text(cls, text: str) -> LaurentPoly:
-        """Parse the ``to_text`` format back into a polynomial."""
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial text")
-        if s == "0":
-            return cls.zero()
-        terms: dict[int, int] = {}
-        pos = 0
-        while pos < len(s):
-            m = cls._TERM.match(s, pos)
-            if m is None or m.end() == pos or (m.group(2) is None and m.group(3) is None):
-                raise ValueError(f"malformed polynomial text at {s[pos:]!r}")
-            sign = -1 if m.group(1) == "-" else 1
-            coeff = int(m.group(2)) if m.group(2) is not None else 1
-            if m.group(3) is None:
-                exp = 0
-            elif m.group(4) is None:
-                exp = 1
-            else:
-                exp = int(m.group(4))
-            terms[exp] = terms.get(exp, 0) + sign * coeff
-            pos = m.end()
-        if not terms:
-            return cls.zero()
-        lo, hi = min(terms), max(terms)
-        return cls(lo, [terms.get(e, 0) for e in range(lo, hi + 1)])
-
     def to_json_dict(self) -> dict:
         return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> LaurentPoly:
-        return cls(int(data["min_exp"]), [int(c) for c in data["coeffs"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> LaurentPoly:
-        return cls.from_json_dict(json.loads(text))
 
 
 # Tuples here are built from lists, never from generators: a tuple built from a

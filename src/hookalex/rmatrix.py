@@ -72,65 +72,28 @@ from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it
 from .young import Hook, HookGraph, Path, enumerate_paths
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
-    """A value of the form ``sign * q**exponent`` with sign +-1; exactly invertible."""
-
-    sign: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    def as_laurent(self) -> LaurentPoly:
-        return LaurentPoly.monomial(self.sign, self.exponent)
-
-    def inverse(self) -> SignedMonomial:
-        return SignedMonomial(self.sign, -self.exponent)
-
-    def __mul__(self, other: SignedMonomial) -> SignedMonomial:
-        return SignedMonomial(self.sign * other.sign, self.exponent + other.exponent)
-
-    def __pow__(self, n: int) -> SignedMonomial:
-        return SignedMonomial(self.sign if n % 2 else 1, self.exponent * n)
-
-    def __str__(self) -> str:
-        return str(self.as_laurent())
-
-
-@dataclass(frozen=True)
-class HookEigenvalues:
-    """Crossing eigenvalues on the arm and leg summands of the tensor square."""
-
-    arm: SignedMonomial
-    leg: SignedMonomial
-
-
 def framing_exponent(h: Hook) -> int:
     return 2 * h.arm * h.arm + 2 * h.arm - 2 * h.leg * h.leg - 2 * h.leg
 
 
-def hook_eigenvalues(h: Hook) -> HookEigenvalues:
-    """The two signed monomials acting on the one-hook tensor square.
+def hook_eigenvalues(h: Hook) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two signed monomials ``(arm, leg)`` acting on the one-hook tensor square.
 
-    >>> ev = hook_eigenvalues(Hook(1, 0))
-    >>> str(ev.arm), str(ev.leg)
-    ('q^6', '-q^2')
+    >>> hook_eigenvalues(Hook(1, 0))
+    (LaurentPoly('q^6'), LaurentPoly('-q^2'))
     """
     k = framing_exponent(h)
     sign = -1 if h.leg % 2 else 1
-    return HookEigenvalues(arm=SignedMonomial(sign, k + h.size),
-                           leg=SignedMonomial(-sign, k - h.size))
+    return LaurentPoly.monomial(sign, k + h.size), LaurentPoly.monomial(-sign, k - h.size)
 
 
-def framing_factor(h: Hook) -> SignedMonomial:
+def framing_factor(h: Hook) -> LaurentPoly:
     """Per-crossing monomial relating vertical framing to the normalized pair.
 
     Dividing both eigenvalues by it leaves exactly (q^N, -q^-N) with N the
     hook size, the fundamental pair under q -> q^N.
     """
-    return SignedMonomial(-1 if h.leg % 2 else 1, framing_exponent(h))
+    return LaurentPoly.monomial(-1 if h.leg % 2 else 1, framing_exponent(h))
 
 
 @dataclass(frozen=True)
@@ -195,7 +158,7 @@ class BlockOperator:
     """
 
     dim: int
-    singlets: tuple[tuple[int, SignedMonomial], ...]
+    singlets: tuple[tuple[int, LaurentPoly], ...]
     doublets: tuple[tuple[tuple[int, int], DoubletBlock], ...]
     den: LaurentPoly
 
@@ -233,15 +196,17 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
         raise ValueError(f"crossing index {i} outside 1..{m - 1}")
     paths = enumerate_paths(graph, target_k)
     index = {p: idx for idx, p in enumerate(paths)}
-    ev = hook_eigenvalues(graph.base)
-    singlets: list[tuple[int, SignedMonomial]] = []
+    arm, leg = hook_eigenvalues(graph.base)
+    if inverse:
+        arm, leg = arm ** -1, leg ** -1
+    singlets: list[tuple[int, LaurentPoly]] = []
     doublets: list[tuple[tuple[int, int], DoubletBlock]] = []
     for idx, p in enumerate(paths):
         steps = _classify(p, i)
         if steps == 0 or steps == (0, 0):
-            singlets.append((idx, ev.arm.inverse() if inverse else ev.arm))
+            singlets.append((idx, arm))
         elif steps == 1 or steps == (1, 1):
-            singlets.append((idx, ev.leg.inverse() if inverse else ev.leg))
+            singlets.append((idx, leg))
         elif steps == (0, 1):
             partner = index[p.toggle(i - 1)]
             doublets.append(((idx, partner), doublet_block(graph.base, i, inverse)))
@@ -342,10 +307,10 @@ class OperatorPlan(list):
 
     def __init__(self, op: BlockOperator):
         super().__init__([{} for _ in range(op.dim)])
-        singlet: dict[SignedMonomial, LaurentPoly] = {}  # one numerator per eigenvalue
+        singlet: dict[LaurentPoly, LaurentPoly] = {}  # one numerator per eigenvalue
         for idx, e in op.singlets:
             if e not in singlet:
-                singlet[e] = op.den.shift(e.exponent) * e.sign
+                singlet[e] = op.den * e
             self[idx][idx] = singlet[e]
         for (i, j), b in op.doublets:
             self[i][i], self[i][j], self[j][i], self[j][j] = b.r11, b.r12, b.r21, b.r22
@@ -356,8 +321,8 @@ class OperatorPlan(list):
                                for x in (c, r, n))
         self.neg, self.exps, self.grade = 0, None, op.den.step
         if not op.doublets:
-            self.neg = sum(1 << idx for idx, e in op.singlets if e.sign < 0)
-            self.exps = tuple(e.exponent for _, e in sorted(op.singlets))
+            self.neg = sum(1 << idx for idx, e in op.singlets if e.terms[0] < 0)
+            self.exps = tuple(e.min_exp for _, e in op.singlets)
             self.grade = math.gcd(*[e - self.exps[0] for e in self.exps])
         self._widths: dict[int, Terms] = {}
 

@@ -189,10 +189,6 @@ class Path:
 
     choices: tuple[int, ...]
 
-    def vertex_index(self, n: int) -> int:
-        """Index of the path's vertex at level ``n``."""
-        return sum(self.choices[: n - 1])
-
     def toggle(self, step: int) -> Path:
         """Swap the (arm, leg) step pair starting at 1-indexed step ``step``."""
         c = list(self.choices)

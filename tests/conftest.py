@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,6 +59,39 @@ def random_knot_braids(count: int, max_strands: int = 4, max_length: int = 12,
         if closure_is_knot(b):
             out.append(b)
     return out
+
+
+# -- Markov moves: variants whose closures are the same knot ---------------------------------
+
+def conjugate(b: BraidWord, word: Sequence[int]) -> BraidWord:
+    """The conjugated braid  word . b . word^-1  on the same strand count."""
+    inverse = tuple(-g for g in reversed(word))
+    return BraidWord(b.strands, tuple(word) + b.letters + inverse)
+
+
+def stabilize(b: BraidWord, sign: int = 1) -> BraidWord:
+    """Markov stabilization: add a strand and append the new generator once."""
+    if sign not in (1, -1):
+        raise ValueError("stabilization sign must be +1 or -1")
+    return BraidWord(b.strands + 1, b.letters + (sign * b.strands,))
+
+
+@dataclass(frozen=True)
+class MarkovVariants:
+    conjugates: tuple[BraidWord, ...]
+    stabilized_pos: BraidWord
+    stabilized_neg: BraidWord
+
+
+def markov_variants(b: BraidWord, count: int = 5, seed: int = 0) -> MarkovVariants:
+    """Sampled conjugates plus both stabilizations, for invariance testing."""
+    rng = random.Random(seed)
+    gens = [g for i in range(1, b.strands) for g in (i, -i)]
+    conjugates = []
+    for _ in range(count):
+        word = [rng.choice(gens) for _ in range(rng.randint(1, 2))]
+        conjugates.append(conjugate(b, word))
+    return MarkovVariants(tuple(conjugates), stabilize(b, 1), stabilize(b, -1))
 
 
 MAX_KNOT_ATTEMPTS = 10_000
@@ -145,7 +179,7 @@ def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
     sign = -1.0 if h.leg % 2 else 1.0
     mat = [[0.0] * op.dim for _ in range(op.dim)]
     for idx, scalar in op.singlets:
-        mat[idx][idx] = float(scalar.as_laurent().evaluate(q))
+        mat[idx][idx] = float(scalar.evaluate(q))
     for (a, b), block in op.doublets:
         n = block.level
         bullet = _qnum_bullet_float(n, size, q)

@@ -6,7 +6,7 @@ per criterion.
 
 from fractions import Fraction
 
-from hookalex.braid import markov_variants, parse_braid
+from hookalex.braid import parse_braid
 from hookalex.evaluator import alexander, check_scaling
 from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.oracle import burau_alexander
@@ -16,8 +16,8 @@ from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, ratio_closed_form,
                             topological_factors, topological_power_sums)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
 
-from conftest import (SCHUR_POINTS, corpus_knots, random_knot_braids, same_ratio,
-                      symmetric_operator_numeric, trace_product_numeric)
+from conftest import (SCHUR_POINTS, corpus_knots, markov_variants, random_knot_braids,
+                      same_ratio, symmetric_operator_numeric, trace_product_numeric)
 
 SCALING_HOOKS = (Hook(1, 0), Hook(0, 1), Hook(1, 1), Hook(2, 0),
                  Hook(2, 1), Hook(1, 2), Hook(2, 2))
@@ -81,8 +81,7 @@ def test_criterion_5_doublet_constraints():
     # invariants by b^2, and forward times inverse is b^2 times the identity
     failures = []
     for h in hooks_up_to_size(5):
-        ev = hook_eigenvalues(h)
-        arm, leg = ev.arm.as_laurent(), ev.leg.as_laurent()
+        arm, leg = hook_eigenvalues(h)
         for n in range(2, 9):
             b = qnum_bullet(n, h.size)
             b2 = b * b

@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from hookalex.braid import (BraidWord, GeneratorOutOfRangeError,
                             MalformedTokenError, ZeroLetterError,
-                            closure_is_knot, conjugate, markov_variants,
-                            parse_braid, render_braid, stabilize)
+                            closure_is_knot, parse_braid, render_braid)
+
+from conftest import conjugate, markov_variants, stabilize
 
 
 @st.composite

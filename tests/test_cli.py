@@ -33,17 +33,16 @@ def test_eval_json_roundtrip(capsys):
     assert record["strands"] == 2
     assert (record["arm"], record["leg"]) == (1, 0)
     assert record["scaling_check"] is True
-    poly = LaurentPoly.from_json_dict(record["alexander"])
-    assert poly == LaurentPoly(-4, (1, 0, 0, 0, -1, 0, 0, 0, 1))
+    d = record["alexander"]
+    assert LaurentPoly(d["min_exp"], d["coeffs"]) == LaurentPoly(-4, (1, 0, 0, 0, -1, 0, 0, 0, 1))
 
 
 def test_text_and_json_encode_same_polynomial(capsys):
     args = ("--strands", "3", "--braid", "1 -2 1 -2", "--arm", "1", "--leg", "1")
     _, text_out, _ = run_cli(capsys, "eval", *args)
     _, json_out, _ = run_cli(capsys, "eval", *args, "--format", "json")
-    from_text = LaurentPoly.from_text(text_out.strip())
-    from_json = LaurentPoly.from_json_dict(json.loads(json_out)["alexander"])
-    assert from_text == from_json
+    d = json.loads(json_out)["alexander"]
+    assert text_out.strip() == LaurentPoly(d["min_exp"], d["coeffs"]).to_text()
 
 
 # -- usage errors ------------------------------------------------------------------
@@ -188,6 +187,14 @@ def test_oversized_strand_count_is_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("usage error:") and "strands" in err and "path basis" in err
+
+
+def test_table_refuses_an_entry_above_the_strand_limit_before_any_record(capsys):
+    code, out, err = run_cli(capsys, "table", "--braids", "1 1 1@2;1 2 3 4 5 6 7 8 9 10@11",
+                             "--max-hook-size", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--braids: 11 strands is above the limit of 10" in err
 
 
 @pytest.mark.parametrize("entry", ["1 1 1", "1 1 1@two", "1 q@2", "3@2"])

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hookalex.braid import NotAKnotError, closure_is_knot, markov_variants, parse_braid
+from hookalex.braid import NotAKnotError, closure_is_knot, parse_braid
+from hookalex.cli import main
 from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
                                 unit_normalize)
 from hookalex.laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
@@ -12,7 +13,7 @@ from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.schur import hook_weight
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-from conftest import random_knot, torus_braid, torus_closed_form
+from conftest import markov_variants, random_knot, torus_braid, torus_closed_form
 
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
@@ -28,18 +29,20 @@ def test_unit_normalize_centers_and_signs():
 
 
 def test_unit_normalize_rejects_nonunits():
-    with pytest.raises(NormalizationError):
-        unit_normalize(LaurentPoly.zero())
-    with pytest.raises(NormalizationError):
-        unit_normalize(LaurentPoly(0, (1, 1)))  # odd span
-    with pytest.raises(NormalizationError):
-        unit_normalize(LaurentPoly(-1, (1, 1, 1)))  # value 3 at q=1
+    for p in (LaurentPoly.zero(),
+              LaurentPoly(0, (1, 1)),  # odd span
+              LaurentPoly(-1, (1, 1, 1))):  # value 3 at q=1
+        with pytest.raises(NormalizationError) as exc:
+            unit_normalize(p)
+        assert str(exc.value).startswith("normalization:") and p.summary() in str(exc.value)
 
 
 def test_uncenterable_message_is_bounded():
-    with pytest.raises(NormalizationError) as exc:
-        unit_normalize(LaurentPoly(0, [10 ** 30] * 1000))
-    assert len(str(exc.value)) < 300
+    for p in (LaurentPoly(0, [10 ** 30] * 1000),  # odd span
+              LaurentPoly(-999, [2 ** 200] * 1999)):  # a 211-bit value at q=1
+        with pytest.raises(NormalizationError) as exc:
+            unit_normalize(p)
+        assert p.summary() in str(exc.value) and len(str(exc.value)) < 300
 
 
 # -- reference values -----------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_contributions_reassemble_polynomial():
     res = alexander(Hook(1, 1), FIGURE8)
     assert len(res.contributions) == FIGURE8.strands
     total = sum((num for _, num in res.contributions), LaurentPoly.zero())
-    correction = (framing_factor(Hook(1, 1)) ** (-FIGURE8.writhe)).as_laurent()
+    correction = framing_factor(Hook(1, 1)) ** (-FIGURE8.writhe)
     raw = exact_div(total, res.denominator) * correction
     assert unit_normalize(raw) == res.polynomial
 
@@ -170,6 +173,32 @@ def test_failed_lift_names_the_vertex(monkeypatch):
     assert common.summary() in message
 
 
+def _wrong_final_denominator(monkeypatch):
+    """Make the evaluator's final denominator [m]_N * (q + 2), which no vertex sum divides by."""
+    bullet = qnum_bullet
+    monkeypatch.setattr("hookalex.evaluator.qnum_bullet",
+                        lambda n, base: bullet(n, base) * LaurentPoly(0, (2, 1)))
+
+
+@pytest.mark.parametrize("b", [FIGURE8, random_knot(random.Random(11), 3, 160)])
+def test_failed_final_division_names_its_layer(monkeypatch, b):
+    _wrong_final_denominator(monkeypatch)
+    with pytest.raises(InexactDivisionError) as exc:
+        alexander(Hook(1, 0), b)
+    message = str(exc.value)
+    assert message.startswith("vertex sum: final division") and f"m={b.strands}" in message
+    assert "-bit coefficients" in message and message.count("exponents") == 2
+    assert len(message) < 300
+
+
+def test_failed_final_division_is_cli_exit_3(monkeypatch, capsys):
+    _wrong_final_denominator(monkeypatch)
+    code = main(["eval", "--strands", "3", "--braid", "1 -2 1 -2", "--arm", "1", "--leg", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal inconsistency: vertex sum: final division")
+
+
 # -- mirrored vertices of self-transpose colors ------------------------------------------------
 
 def _traces(hook, b):
@@ -239,7 +268,7 @@ def _full_vertex_sum(color, b):
         contributions.append((vertex, num * exact_div(common, den) * sign))
     denominator = qnum_bullet(m, color.size) * common
     total = sum((num for _, num in contributions), LaurentPoly.zero())
-    correction = (framing_factor(color) ** (-b.writhe)).as_laurent()
+    correction = framing_factor(color) ** (-b.writhe)
     poly = unit_normalize(exact_div(total, denominator) * correction)
     return poly, tuple(contributions), denominator
 
@@ -263,7 +292,8 @@ def test_inversion_symmetry(knots):
     for b in knots:
         for h in (Hook(0, 0), Hook(1, 0), Hook(1, 1)):
             p = alexander(h, b).polynomial
-            assert p == p.invert_variable()
+            assert p.min_exp == -p.degree()
+            assert p.coeffs == p.coeffs[::-1]
 
 
 # -- the scaling identity --------------------------------------------------------------------

@@ -6,13 +6,14 @@ import random
 import pytest
 
 from hookalex import oracle
-from hookalex.braid import BraidWord, NotAKnotError, markov_variants, parse_braid
+from hookalex.braid import BraidWord, NotAKnotError, parse_braid
 from hookalex.evaluator import unit_normalize
 from hookalex.laurent import InexactDivisionError, LaurentPoly, _exact_int_div, det, exact_div
 from hookalex.oracle import (_column_bounds, _hadamard_bound, _letter_row, _packed_product,
                              burau_alexander, burau_matrix)
 
-from conftest import random_knot, random_knot_braids, torus_braid, torus_closed_form
+from conftest import (markov_variants, random_knot, random_knot_braids, torus_braid,
+                      torus_closed_form)
 
 _ZERO, _ONE = LaurentPoly.zero(), LaurentPoly.one()
 

@@ -142,7 +142,7 @@ def test_path_vertices_follow_tensor_rule():
             walked = base
             for n, step in enumerate(p.choices, start=2):
                 walked = hook_tensor_onehook(walked, base)[step]
-                assert walked == g.vertex(n, p.vertex_index(n))
+                assert walked == g.vertex(n, sum(p.choices[:n - 1]))
             assert walked == g.vertex(5, k)
 
 
