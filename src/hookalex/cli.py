@@ -106,6 +106,10 @@ def _hook(cfg: RunConfig) -> Hook:
 
 def _braid(cfg: RunConfig) -> BraidWord:
     try:
+        check_strands(cfg.strands)  # before the closure check allocates one slot per strand
+    except BraidError as exc:
+        raise BraidError(f"--strands: {exc}") from exc
+    try:
         b = parse_braid(cfg.braid_text, cfg.strands)
     except BraidError as exc:
         raise BraidError(f"--braid: {exc}") from exc

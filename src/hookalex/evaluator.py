@@ -13,14 +13,15 @@ distinct letter.  The kernel returns each trace as an integer numerator over
 its own denominator, the product of the operators' ``den``: ``[|g|]_N`` for
 a letter whose operator has a doublet, else 1.  Every letter with ``|g| >= 2``
 has a doublet at every interior vertex (``0 < k < m - 1``), and no letter
-has one at the two end vertices, so each denominator divides the widest one,
-which serves as the common denominator.  Each term is lifted to it by one
-exact quotient per distinct denominator, except that an end vertex's
-denominator 1 lifts by the common one with no division, and the terms are
-added as integer Laurent polynomials; a single exact division by ``[m]_N``
-times the common denominator finishes the sum.  It always divides out to an
-integer Laurent polynomial; a failure to lift or to divide is an internal
-inconsistency, never user error, and a failed lift names its vertex.  The
+has one at the two end vertices, so every interior vertex has the same
+denominator ``prod [|g|]_N`` over those letters, the common denominator, and
+an end vertex has 1.  An end vertex's numerator is lifted to the common
+denominator by multiplying by it, no other numerator needs lifting, and the
+terms are added as integer Laurent polynomials; a single exact division by
+``[m]_N`` times the common denominator finishes the sum.  It always divides
+out to an integer Laurent polynomial; any other vertex denominator, or a
+failure to divide, is an internal inconsistency, never user error, and a
+denominator that cannot be lifted names its vertex.  The
 polynomial is finally normalized by the unit ``+-q^j`` that centers its
 exponent range and makes its value at q = 1 equal to +1 (the invariant is
 classically defined only up to such units, and the strict framing correction
@@ -150,23 +151,17 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
             op = {g: assemble_R(graph, k, abs(g), g < 0) for g in letters}
             trace = trace_product([op[g] for g in b.letters])
         terms.append((vertex, sign, trace))
-    # every vertex's den divides the widest one (see the module docstring)
+    # an interior vertex's den is the widest one, an end vertex's is 1 (module docstring)
     common = max((t.den for *_, t in terms), key=lambda den: den.degree() - den.min_exp)
-    lifts = {common: LaurentPoly.one()}
     contributions = []
     for k, (vertex, sign, (num, den)) in enumerate(terms):
-        if den.is_one():  # an end vertex, lifted by the common denominator itself
-            lift = common
-        else:
-            if den not in lifts:
-                try:
-                    lifts[den] = exact_div(common, den)
-                except InexactDivisionError as exc:
-                    raise InexactDivisionError(
-                        f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
-                        f"does not divide the common one ({common.summary()})") from exc
-            lift = lifts[den]
-        contributions.append((vertex, (num if lift.is_one() else lift * num) * sign))
+        if den != common:
+            if not den.is_one():
+                raise InexactDivisionError(
+                    f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
+                    f"is neither 1 nor the common one ({common.summary()})")
+            num = common * num  # an end vertex, lifted by the common denominator itself
+        contributions.append((vertex, num * sign))
     total = sum((num for _, num in contributions), LaurentPoly.zero())
     denominator = qnum_bullet(m, color.size) * common
     try:

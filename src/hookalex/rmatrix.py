@@ -11,15 +11,16 @@ On the path basis of the hook graph, the operator for crossing ``(i, i+1)``
 splits into singlets (paths stepping arm-arm or leg-leg through level ``i``)
 and 2x2 doublets pairing the two paths that differ only at level ``i``.  The
 doublet depends only on the level ``n``, never on the horizontal position.
-With ``s = (-1)^l`` and ``[n].`` the q-number at q -> q^N, its entries are
-integer numerators over the single denominator ``[n].``:
+With ``phi = (-1)^l q^K`` the framing factor, so that the eigenvalues are
+``phi q^N`` and ``-phi q^-N``, and ``[n].`` the q-number at q -> q^N, its
+entries are integer numerators over the single denominator ``[n].``:
 
-    [n]. r11 = -s q^(K - nN)      [n]. r12 = q^K [n+1]. [n-1].
-    [n]. r21 =    q^K             [n]. r22 =  s q^(K + nN)
+    [n]. r11 = -phi q^(-nN)       [n]. r12 = q^K [n+1]. [n-1].
+    [n]. r21 =      q^K           [n]. r22 =  phi q^(nN)
 
 Since ``[n].^2 - [n+1].[n-1]. = 1``, the determinant is the monomial -q^(2K),
 the product of the two eigenvalues, and the inverse doublet has the same
-closed form with K -> -K and nN -> -nN.
+closed form with phi -> phi^-1 (so K -> -K) and nN -> -nN.
 
 A trace of a product is therefore an integer numerator over the product of
 the operators' bullet q-numbers; the evaluator sums such traces over their
@@ -35,16 +36,15 @@ integer-polynomial matrix over one bullet q-number.
 Products run packed: every numerator is evaluated at q = 2^w (Kronecker
 substitution), the matrix product runs on Python ints, with +-q^e entries as
 signed shifts, and the trace is decoded into a Laurent polynomial once.  The
-width w is proven from the operators so that the decoding is exact: a row
-norm bound first, and where that asks for more than the least width, the
-column sums of entry 1-norms carried through the product (see
-``_packed_product``).  Each column of the running product carries a pending
-signed monomial beside its ints.  A crossing without a doublet acts by its
-eigenvalues alone, so its operator only updates those factors and leaves the
-ints as they are; the decoding applies them.  Since a factor moves a stored
-polynomial by a signed power of q only, the width proof does not change.
-Each operator is compiled once, the first time it enters a product, into a
-plan (:class:`OperatorPlan`): its numerator rows, the norms the width bound
+width w is proven from the operators so that the decoding is exact: the
+column sums of entry 1-norms carried through the product bound every
+coefficient (see ``_packed_product``).  Each column of the running product
+carries a pending signed monomial beside its ints.  A crossing without a
+doublet acts by its eigenvalues alone, so its operator only updates those
+factors and leaves the ints as they are; the decoding applies them.  Since a
+factor moves a stored polynomial by a signed power of q only, the width proof
+does not change.  Each operator is built once, by :func:`assemble_R`, as a
+:class:`BlockOperator`: its numerator rows, the entry norms the width bound
 needs, and either its diagonal signs and exponents or, for an operator with
 a doublet, its packed terms memoized for at most ``PLAN_WIDTHS`` widths.
 Operators repeat across letters, vertices and braids, so a product only
@@ -61,8 +61,7 @@ one mask comparison has checked that the digits between are zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -76,19 +75,8 @@ def framing_exponent(h: Hook) -> int:
     return 2 * h.arm * h.arm + 2 * h.arm - 2 * h.leg * h.leg - 2 * h.leg
 
 
-def hook_eigenvalues(h: Hook) -> tuple[LaurentPoly, LaurentPoly]:
-    """The two signed monomials ``(arm, leg)`` acting on the one-hook tensor square.
-
-    >>> hook_eigenvalues(Hook(1, 0))
-    (LaurentPoly('q^6'), LaurentPoly('-q^2'))
-    """
-    k = framing_exponent(h)
-    sign = -1 if h.leg % 2 else 1
-    return LaurentPoly.monomial(sign, k + h.size), LaurentPoly.monomial(-sign, k - h.size)
-
-
 def framing_factor(h: Hook) -> LaurentPoly:
-    """Per-crossing monomial relating vertical framing to the normalized pair.
+    """The per-crossing monomial ``phi = (-1)^l q^K`` from vertical framing to the normalized pair.
 
     Dividing both eigenvalues by it leaves exactly (q^N, -q^-N) with N the
     hook size, the fundamental pair under q -> q^N.
@@ -96,83 +84,129 @@ def framing_factor(h: Hook) -> LaurentPoly:
     return LaurentPoly.monomial(-1 if h.leg % 2 else 1, framing_exponent(h))
 
 
-@dataclass(frozen=True)
-class DoubletBlock:
-    """A 2x2 block on the two paths through neighboring level-``level`` vertices.
+def hook_eigenvalues(h: Hook) -> tuple[LaurentPoly, LaurentPoly]:
+    """The signed monomials ``(arm, leg) = (phi q^N, -phi q^-N)`` on the one-hook tensor square.
 
-    The entries are integer numerators over the bullet q-number ``[level]_N``.
-    Row/column 1 is the path through the arm-side vertex (lexicographically
-    first), row/column 2 the leg-side path.
+    >>> hook_eigenvalues(Hook(1, 0))
+    (LaurentPoly('q^6'), LaurentPoly('-q^2'))
     """
-
-    level: int
-    r11: LaurentPoly
-    r12: LaurentPoly
-    r21: LaurentPoly
-    r22: LaurentPoly
+    phi = framing_factor(h)
+    return phi.shift(h.size), -phi.shift(-h.size)
 
 
-# Entries held by each operator cache.  The widest benchmark workload (4-strand
-# knots, six hooks) keeps 144 operators live, so this bound never evicts there
-# while still capping memory on long runs over many graphs.
-OPERATOR_CACHE_SIZE = 1024
+def doublet_block(h: Hook, n: int, inverse: bool) -> tuple[LaurentPoly, ...]:
+    """The level-``n`` doublet ``(r11, r12, r21, r22)`` of hook ``h`` over ``[n]_N`` (n >= 2).
 
+    Row/column 1 is the path through the arm-side vertex (lexicographically
+    first), row/column 2 the leg-side path.  ``inverse`` gives the inverse
+    doublet, over the same denominator.
 
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def doublet_block(h: Hook, n: int, inverse: bool) -> DoubletBlock:
-    """The level-``n`` doublet for base hook ``h`` as numerators over ``[n]_N`` (n >= 2).
-
-    ``inverse`` gives the inverse doublet, over the same denominator.
-
-    >>> b = doublet_block(Hook(0, 0), 2, False)
-    >>> b.r11, b.r12, b.r21, b.r22
+    >>> doublet_block(Hook(0, 0), 2, False)
     (LaurentPoly('-q^-2'), LaurentPoly('q^2 + 1 + q^-2'), LaurentPoly('1'), LaurentPoly('q^2'))
-    >>> doublet_block(Hook(0, 0), 2, True).r11
+    >>> doublet_block(Hook(0, 0), 2, True)[0]
     LaurentPoly('-q^2')
     """
     if n < 2:
         raise ValueError(f"doublets start at level 2, got {n}")
-    k = framing_exponent(h)
-    shift = n * h.size
+    phi, shift = framing_factor(h), n * h.size
     if inverse:
-        k, shift = -k, -shift
-    sign = -1 if h.leg % 2 else 1
+        phi, shift = phi ** -1, -shift
     off = qnum_bullet(n + 1, h.size) * qnum_bullet(n - 1, h.size)
-    return DoubletBlock(n, LaurentPoly.monomial(-sign, k - shift), off.shift(k),
-                        LaurentPoly.monomial(1, k), LaurentPoly.monomial(sign, k + shift))
+    return (-phi.shift(-shift), off.shift(phi.min_exp), LaurentPoly.monomial(1, phi.min_exp),
+            phi.shift(shift))
 
+
+# Operators held by the assemble_R cache.  The widest benchmark workload
+# (4-strand knots, six hooks) keeps 144 operators live, so this bound never
+# evicts there while still capping memory on long runs over many graphs.
+OPERATOR_CACHE_SIZE = 1024
+
+# Widths at which each operator keeps its packed terms.  The width follows the
+# bound on the whole product in steps of 8 bits, so the products of one
+# operator visit few widths: up to 4 per operator over the fund-wide benchmark
+# corpus, 6 over long-braid and 3 over colored-scaling.  Past this bound the
+# oldest width is dropped.
+PLAN_WIDTHS = 8
 
 NumeratorRows = list[dict[int, LaurentPoly]]
 
+# An operator's terms at one width, flat and column by column: the column's
+# term count, then row, multiplier, exponent for each term.  One tuple per
+# width keeps an operator small.
+Terms = tuple[int, ...]
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """A block-diagonal operator on the lexicographic path basis of one target vertex.
 
-    Every basis index appears in exactly one singlet or one doublet pair; each
-    row therefore has at most two nonzero entries.  All entries share the
-    single denominator ``den`` (the bullet q-number of the doublet level, or 1
-    for a purely singlet operator), so products of operators stay in the form
+def _norm(p: LaurentPoly) -> int:
+    return sum(map(abs, p.terms))
+
+
+class BlockOperator(list):
+    """A crossing operator: numerator rows (the list itself) over one denominator ``den``.
+
+    Row ``r`` maps column ``c`` to entry ``(r, c)``; zero entries are omitted,
+    and each row has at most two.  ``den`` is the bullet q-number of the
+    doublet level, or 1 for an operator without a doublet, so products stay
     "integer-polynomial matrix over one polynomial denominator" and never need
-    gcd reduction.
+    gcd reduction.  Built once by :func:`assemble_R` and shared by every
+    product, so callers must not mutate the rows.
+
+    What products need of the rows is computed with them: ``col_norms`` holds
+    the 1-norm of every entry, flat as column, row, norm, column, row, norm,
+    ...  An operator without a doublet is diagonal with entries ``+-q**exps[c]``,
+    the sign negative where bit ``c`` of ``neg`` is set; for any other operator
+    ``exps`` is None and :meth:`packed` gives its terms at one width.
+    ``grade`` divides every exponent gap on the diagonal: for an operator
+    with a doublet it is ``2N``, the step of its ``den`` (a bullet q-number
+    ``[n]_N`` with ``n >= 2``); for a diagonal one it is the gcd of those
+    gaps, ``2N`` with both eigenvalues and 0 with a single one.
+
+    The middle vertex of 3 strands has one level-2 doublet:
+
+    >>> op = assemble_R(HookGraph(Hook(0, 0), 3), 1, 2)
+    >>> for row in op:
+    ...     print(row)
+    {0: LaurentPoly('-q^-2'), 1: LaurentPoly('q^2 + 1 + q^-2')}
+    {0: LaurentPoly('1'), 1: LaurentPoly('q^2')}
+    >>> op.den, op.grade
+    (LaurentPoly('q + q^-1'), 2)
     """
 
-    dim: int
-    singlets: tuple[tuple[int, LaurentPoly], ...]
-    doublets: tuple[tuple[tuple[int, int], DoubletBlock], ...]
-    den: LaurentPoly
+    __slots__ = ("den", "col_norms", "neg", "exps", "grade", "_widths")
 
-    def numerator_rows(self) -> OperatorPlan:
-        """Entries as integer numerators over ``den``, with the operator's product plan.
+    def __init__(self, rows: NumeratorRows, den: LaurentPoly):
+        super().__init__(rows)
+        self.den = den
+        self.col_norms = tuple(x for r, row in enumerate(rows) for c, p in row.items()
+                               for x in (c, r, _norm(p)))
+        self.neg, self.exps, self.grade = 0, None, den.step
+        if den.is_one():
+            diagonal = [row[c] for c, row in enumerate(rows)]
+            self.neg = sum(1 << c for c, e in enumerate(diagonal) if e.terms[0] < 0)
+            self.exps = tuple(e.min_exp for e in diagonal)
+            self.grade = math.gcd(*[e - self.exps[0] for e in self.exps])
+        self._widths: dict[int, Terms] = {}
 
-        Built on the first call and shared by every later one, so callers must
-        not mutate the rows.
-        """
-        return self._plan
+    def numerator_rows(self) -> BlockOperator:
+        """The operator itself: its entries as integer numerators over ``den``."""
+        return self
 
-    @cached_property
-    def _plan(self) -> OperatorPlan:
-        return OperatorPlan(self)
+    def packed(self, width: int) -> Terms:
+        """The entries' terms at q = 2**width."""
+        found = self._widths.get(width)
+        if found is None:
+            if len(self._widths) >= PLAN_WIDTHS:
+                del self._widths[next(iter(self._widths))]
+            entry: dict[LaurentPoly, list[tuple[int, int]]] = {}  # equal entries share ints
+            columns: list[list[int]] = [[] for _ in self]
+            for k, row in enumerate(self):
+                for c, p in row.items():
+                    if p not in entry:
+                        entry[p] = _terms(p, width)
+                    for m, e in entry[p]:
+                        columns[c] += (k, m, e)
+            found = self._widths[width] = tuple(x for col in columns
+                                                for x in (len(col) // 3, *col))
+        return found
 
 
 def _classify(path: Path, i: int) -> tuple[int, int] | int:
@@ -189,30 +223,33 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
     Paths stepping arm-arm (resp. leg-leg) through level ``i`` are singlets
     with the arm (resp. leg) eigenvalue; mixed paths pair with their level-i
     toggle partner in the level-``i`` doublet.  ``inverse`` reciprocates the
-    singlets and takes the inverse doublet's closed form.
+    singlets and takes the inverse doublet's closed form.  With a doublet,
+    every entry is a numerator over ``[i]_N``, the singlets' included.
     """
     m = graph.levels
     if not 1 <= i <= m - 1:
         raise ValueError(f"crossing index {i} outside 1..{m - 1}")
     paths = enumerate_paths(graph, target_k)
-    index = {p: idx for idx, p in enumerate(paths)}
+    steps = [_classify(p, i) for p in paths]
+    den = LaurentPoly.one()
+    if (0, 1) in steps:  # every doublet of the operator is this level-i block
+        den, block = qnum_bullet(i, graph.base.size), doublet_block(graph.base, i, inverse)
     arm, leg = hook_eigenvalues(graph.base)
     if inverse:
         arm, leg = arm ** -1, leg ** -1
-    singlets: list[tuple[int, LaurentPoly]] = []
-    doublets: list[tuple[tuple[int, int], DoubletBlock]] = []
-    for idx, p in enumerate(paths):
-        steps = _classify(p, i)
-        if steps == 0 or steps == (0, 0):
-            singlets.append((idx, arm))
-        elif steps == 1 or steps == (1, 1):
-            singlets.append((idx, leg))
-        elif steps == (0, 1):
-            partner = index[p.toggle(i - 1)]
-            doublets.append(((idx, partner), doublet_block(graph.base, i, inverse)))
+    arm, leg = arm * den, leg * den
+    index = {p: idx for idx, p in enumerate(paths)}
+    rows: NumeratorRows = [{} for _ in paths]
+    for idx, (p, s) in enumerate(zip(paths, steps)):
+        if s in (0, (0, 0)):
+            rows[idx][idx] = arm
+        elif s in (1, (1, 1)):
+            rows[idx][idx] = leg
+        elif s == (0, 1):
+            j = index[p.toggle(i - 1)]
+            rows[idx][idx], rows[idx][j], rows[j][idx], rows[j][j] = block
         # the (1, 0) member is recorded by its (0, 1) partner
-    den = qnum_bullet(i, graph.base.size) if doublets else LaurentPoly.one()
-    return BlockOperator(len(paths), tuple(singlets), tuple(doublets), den)
+    return BlockOperator(rows, den)
 
 
 # -- exact products and traces ------------------------------------------------
@@ -248,12 +285,12 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # the sum at its q^(2N) grade, and product_numerators decodes each entry at
 # its column's exponent.
 #
-# What a product needs of one operator is compiled once, into the operator's
-# plan (:class:`OperatorPlan`): its rows, the norms of the width bounds and,
-# for a diagonal operator, its signs and exponents.  The packed terms of an
-# operator with a doublet depend on the width too, so each plan memoizes them
-# for its last PLAN_WIDTHS widths.  A product then only looks its operators'
-# terms up and shifts and adds.
+# What a product needs of one operator is computed once, when assemble_R
+# builds it (:class:`BlockOperator`): its rows, the entry norms of the width
+# bound and, for a diagonal operator, its signs and exponents.  The packed
+# terms of an operator with a doublet depend on the width too, so each
+# operator memoizes them for its last PLAN_WIDTHS widths.  A product then
+# only looks its operators' terms up and shifts and adds.
 
 # Bits of packed span per nonzero term above which an entry is applied as one
 # signed shift per term.  A q-number [n]_N has n terms over 2N(n-1) exponents,
@@ -262,87 +299,12 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # and colored products, whose packed entries are mostly zero bits, shift.
 SPREAD_BITS_PER_TERM = 128
 
-# Widths at which each plan keeps its packed terms.  The width follows the
-# bound on the whole product in steps of 8 bits, so the products of one
-# operator visit few widths: with the column bound, up to 4 per operator over
-# the fund-wide benchmark corpus, 6 over long-braid and 3 over colored-scaling
-# (5, 8 and 3 under the scalar bound alone).  Past this bound the oldest width
-# is dropped.
-PLAN_WIDTHS = 8
-
-# An operator's terms at one width, flat and column by column: the column's
-# term count, then row, multiplier, exponent for each term.  One tuple per
-# width keeps a plan small.
-Terms = tuple[int, ...]
-
-
-def _norm(p: LaurentPoly) -> int:
-    return sum(map(abs, p.terms))
-
-
 def _terms(p: LaurentPoly, width: int) -> list[tuple[int, int]]:
     """``p`` at q = 2**width as (multiplier, exponent) terms, ``p = sum m * q**e``."""
     nonzero = len(p.terms) - p.terms.count(0)
     if nonzero > 1 and (len(p.terms) - 1) * p.step * width > SPREAD_BITS_PER_TERM * nonzero:
         return [(c, p.min_exp + i * p.step) for i, c in enumerate(p.terms) if c]
     return [(pack(p, width), p.min_exp)]
-
-
-class OperatorPlan(list):
-    """One operator's numerator rows (the list itself) and what products need of them.
-
-    ``norm`` is ``||op||``, the largest row sum of coefficient 1-norms;
-    ``col_norms`` holds the 1-norm of every entry, flat as column, row, norm,
-    column, row, norm, ...  An operator without a doublet is diagonal with
-    entries ``+-q**exps[c]``, the sign negative where bit ``c`` of ``neg`` is
-    set; for any other operator ``exps`` is None and :meth:`packed` gives its
-    terms at one width.
-    ``grade`` is the gcd of the exponent gaps on the diagonal: ``2N`` for an
-    operator with a doublet (the step of its ``den``, a bullet q-number
-    ``[n]_N`` with ``n >= 2``) and for a diagonal one with both eigenvalues,
-    0 for a diagonal one with a single eigenvalue.
-    """
-
-    __slots__ = ("den", "norm", "col_norms", "neg", "exps", "grade", "_widths")
-
-    def __init__(self, op: BlockOperator):
-        super().__init__([{} for _ in range(op.dim)])
-        singlet: dict[LaurentPoly, LaurentPoly] = {}  # one numerator per eigenvalue
-        for idx, e in op.singlets:
-            if e not in singlet:
-                singlet[e] = op.den * e
-            self[idx][idx] = singlet[e]
-        for (i, j), b in op.doublets:
-            self[i][i], self[i][j], self[j][i], self[j][j] = b.r11, b.r12, b.r21, b.r22
-        self.den = op.den
-        norms = [{c: _norm(p) for c, p in row.items()} for row in self]
-        self.norm = max(sum(row.values()) for row in norms)
-        self.col_norms = tuple(x for r, row in enumerate(norms) for c, n in row.items()
-                               for x in (c, r, n))
-        self.neg, self.exps, self.grade = 0, None, op.den.step
-        if not op.doublets:
-            self.neg = sum(1 << idx for idx, e in op.singlets if e.terms[0] < 0)
-            self.exps = tuple(e.min_exp for _, e in op.singlets)
-            self.grade = math.gcd(*[e - self.exps[0] for e in self.exps])
-        self._widths: dict[int, Terms] = {}
-
-    def packed(self, width: int) -> Terms:
-        """The entries' terms at q = 2**width."""
-        found = self._widths.get(width)
-        if found is None:
-            if len(self._widths) >= PLAN_WIDTHS:
-                del self._widths[next(iter(self._widths))]
-            entry: dict[LaurentPoly, list[tuple[int, int]]] = {}  # equal entries share ints
-            columns: list[list[int]] = [[] for _ in self]
-            for k, row in enumerate(self):
-                for c, p in row.items():
-                    if p not in entry:
-                        entry[p] = _terms(p, width)
-                    for m, e in entry[p]:
-                        columns[c] += (k, m, e)
-            found = self._widths[width] = tuple(x for col in columns
-                                                for x in (len(col) // 3, *col))
-        return found
 
 
 def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
@@ -393,16 +355,16 @@ def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
     return out, out_exps
 
 
-def _column_bound(plans: Sequence[OperatorPlan]) -> int:
+def _column_bound(ops: Sequence[BlockOperator]) -> int:
     """``sum_c u_c``, with ``u`` the column sums of entry 1-norms carried through the product.
 
     It bounds every coefficient of every entry and of the trace of the
     product (see :func:`_packed_product`).
     """
-    u = [1] * len(plans[0])
-    for plan in plans:
+    u = [1] * len(ops[0])
+    for op in ops:
         nxt = [0] * len(u)
-        it = iter(plan.col_norms)
+        it = iter(op.col_norms)
         for c, r, n in zip(it, it, it):
             nxt[c] += u[r] * n
         u = nxt
@@ -417,31 +379,24 @@ def _packed_product(ops: Sequence[BlockOperator]
     bit ``c`` of ``neg`` is set; the denominator is the product of the
     operators' ``den``, and ``grade`` the gcd of the operators' grades (1 if
     all are 0), a modulus in which every term of the trace lies in one class
-    (see :func:`trace_product`).  Calls ``numerator_rows`` once per operator,
-    for its plan.
+    (see :func:`trace_product`).  Calls ``numerator_rows`` once per operator.
 
     Width bound: let ``||p||_1`` be the sum of the absolute values of p's
-    coefficients and, for a numerator matrix, ``||A|| = max_r sum_c
-    ||A_rc||_1``.  Every coefficient of an entry or of the trace is at most
-    ``dim * prod ||op||`` (the scalar bound) and at most
-    :func:`_column_bound`.  Proofs: ``||pq||_1 <= ||p||_1 ||q||_1``, and a
-    coefficient is at most its polynomial's 1-norm.  For the scalar bound,
-    the norm is then submultiplicative, and the trace sums ``dim`` entries of
-    one product.  For the column bound, let ``P`` be the running product and
-    ``u_c`` a bound on ``sum_r ||P_rc||_1``, 1 for the identity.  Since
-    ``(PB)_rc = sum_j P_rj B_jc``, summing over ``r`` gives ``sum_r
-    ||(PB)_rc||_1 <= sum_j u_j ||B_jc||_1``, the next ``u_c``.  So each entry
-    of column ``c`` is bounded by ``u_c``, and the trace, one entry per column,
-    by ``sum_c u_c``.  That sum is at most the scalar bound (``u`` is the row
-    vector of ones times the product of the matrices of entry 1-norms, whose
-    row sums are the ``||op||``), so the column bound never widens a product.
-    ``width`` is the least multiple of 8 with ``2**(width - 1)`` above the
-    bounds, which is what makes :func:`hookalex.laurent.unpack` exact.  The
-    column bound costs a pass over the plans, so it is taken only when the
-    scalar bound asks for more than the least width, 8 bits.  The pending
-    factors change none of this: a stored column is its entries' polynomials
-    times a signed power of q, with the same coefficients, and the trace
-    decoded is the same polynomial.
+    coefficients.  Every coefficient of an entry or of the trace is at most
+    :func:`_column_bound`.  Proof: ``||pq||_1 <= ||p||_1 ||q||_1``, and a
+    coefficient is at most its polynomial's 1-norm.  Let ``P`` be the
+    running product and ``u_c`` a bound on ``sum_r ||P_rc||_1``, 1 for the
+    identity.  Since ``(PB)_rc = sum_j P_rj B_jc``, summing over ``r`` gives
+    ``sum_r ||(PB)_rc||_1 <= sum_j u_j ||B_jc||_1``, the next ``u_c``.  So
+    each entry of column ``c`` is bounded by ``u_c``, and the trace, one
+    entry per column, by ``sum_c u_c``.  A product of diagonal operators,
+    whose entries are signed monomials, keeps ``u`` all ones, so its bound
+    is ``dim`` with no pass over the operators.  ``width`` is the least
+    multiple of 8 with ``2**(width - 1)`` above the bound, which is what
+    makes :func:`hookalex.laurent.unpack` exact.  The pending factors change
+    none of this: a stored column is its entries' polynomials times a signed
+    power of q, with the same coefficients, and the trace decoded is the
+    same polynomial.
 
     The denominator is computed by factors: each distinct ``den`` object
     (operators repeat, so few do) is raised to its count by
@@ -450,31 +405,30 @@ def _packed_product(ops: Sequence[BlockOperator]
     """
     if not ops:
         raise ValueError("empty operator product")
-    dims = {op.dim for op in ops}
+    dims = {len(op) for op in ops}
     if len(dims) != 1:
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
-    dim = ops[0].dim
-    plans = [op.numerator_rows() for op in ops]
-    width = packing_width(dim * math.prod([plan.norm for plan in plans]))
-    if width > 8:
-        width = packing_width(_column_bound(plans))
+    dim = len(ops[0])
+    ops = [op.numerator_rows() for op in ops]
+    diagonal = all(op.exps is not None for op in ops)
+    width = packing_width(dim if diagonal else _column_bound(ops))
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
     neg, exps = 0, [0] * dim
     dens: dict[int, list] = {}  # id(den) -> [den, count]; hashing a polynomial costs more
-    for plan in plans:
-        if plan.exps is not None:
-            neg ^= plan.neg
-            exps = [a + b for a, b in zip(exps, plan.exps)]
+    for op in ops:
+        if op.exps is not None:
+            neg ^= op.neg
+            exps = [a + b for a, b in zip(exps, op.exps)]
         else:
-            cols, exps = _apply(cols, neg, exps, plan.packed(width), width)
+            cols, exps = _apply(cols, neg, exps, op.packed(width), width)
             neg = 0
-            found = dens.get(id(plan.den))
+            found = dens.get(id(op.den))
             if found is None:
-                dens[id(plan.den)] = [plan.den, 1]
+                dens[id(op.den)] = [op.den, 1]
             else:
                 found[1] += 1
-    grade = math.gcd(*[plan.grade for plan in plans]) or 1
+    grade = math.gcd(*[op.grade for op in ops]) or 1
     return cols, width, neg, exps, power_product(list(dens.values())), grade
 
 
@@ -521,7 +475,7 @@ def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     would give ``k_i + k_j + 2nN = k_i + k_j``.  So every term is ``= sum
     over the letters of (k + nN)``, one class for the whole trace.
 
-    The grade is taken from the operators (:class:`OperatorPlan`), and one
+    The grade is taken from the operators (:class:`BlockOperator`), and one
     mask comparison checks the claim on every product: a nonzero digit off
     the grade is an internal inconsistency.
     """

@@ -175,13 +175,13 @@ def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
     """
     h = graph.base
     op = assemble_R(graph, target_k, i, inverse=False)
-    k, size = framing_exponent(h), h.size
+    k, size, n = framing_exponent(h), h.size, i  # every doublet sits at level i
     sign = -1.0 if h.leg % 2 else 1.0
-    mat = [[0.0] * op.dim for _ in range(op.dim)]
-    for idx, scalar in op.singlets:
-        mat[idx][idx] = float(scalar.evaluate(q))
-    for (a, b), block in op.doublets:
-        n = block.level
+    mat = [[0.0] * len(op) for _ in op]
+    singlets = [a for a, row in enumerate(op) if len(row) == 1]
+    for a in singlets:  # an eigenvalue times den
+        mat[a][a] = float(op[a][a].evaluate(q)) / float(op.den.evaluate(q))
+    for a, b in [(a, b) for a, row in enumerate(op) for b in row if b > a]:
         bullet = _qnum_bullet_float(n, size, q)
         c = q ** k
         r11 = -sign * c * q ** (-n * size) / bullet
@@ -193,8 +193,8 @@ def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
             r11, r22, off = r22 / det, r11 / det, -off / det
         mat[a][a], mat[a][b], mat[b][a], mat[b][b] = r11, off, off, r22
     if inverse:
-        for idx, scalar in op.singlets:
-            mat[idx][idx] = 1.0 / mat[idx][idx]
+        for a in singlets:
+            mat[a][a] = 1.0 / mat[a][a]
     return mat
 
 

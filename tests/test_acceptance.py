@@ -85,16 +85,16 @@ def test_criterion_5_doublet_constraints():
         for n in range(2, 9):
             b = qnum_bullet(n, h.size)
             b2 = b * b
-            f = doublet_block(h, n, False)
-            if f.r11 + f.r22 != (arm + leg) * b:
+            f11, f12, f21, f22 = doublet_block(h, n, False)
+            if f11 + f22 != (arm + leg) * b:
                 failures.append(("trace", str(h), n))
-            if f.r11 * f.r11 + f.r22 * f.r22 + 2 * f.r12 * f.r21 != (arm * arm + leg * leg) * b2:
+            if f11 * f11 + f22 * f22 + 2 * f12 * f21 != (arm * arm + leg * leg) * b2:
                 failures.append(("trace_sq", str(h), n))
-            if f.r11 * f.r22 - f.r12 * f.r21 != arm * leg * b2:
+            if f11 * f22 - f12 * f21 != arm * leg * b2:
                 failures.append(("det", str(h), n))
-            i = doublet_block(h, n, True)
-            product = (f.r11 * i.r11 + f.r12 * i.r21, f.r11 * i.r12 + f.r12 * i.r22,
-                       f.r21 * i.r11 + f.r22 * i.r21, f.r21 * i.r12 + f.r22 * i.r22)
+            i11, i12, i21, i22 = doublet_block(h, n, True)
+            product = (f11 * i11 + f12 * i21, f11 * i12 + f12 * i22,
+                       f21 * i11 + f22 * i21, f21 * i12 + f22 * i22)
             if product != (b2, LaurentPoly.zero(), LaurentPoly.zero(), b2):
                 failures.append(("inverse", str(h), n))
     _report(5, "doublet closed system of equations", failures)

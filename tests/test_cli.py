@@ -189,6 +189,25 @@ def test_oversized_strand_count_is_usage_error(capsys, argv):
     assert err.startswith("usage error:") and "strands" in err and "path basis" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--arm", "0", "--leg", "0"],
+    ["check-theorem", "--arm", "1", "--leg", "0"],
+    ["verify-oracle"],
+])
+def test_huge_strand_count_is_refused_before_the_closure_check(capsys, monkeypatch, argv):
+    # the closure check allocates one slot per strand, so it must never see this count
+    def closure_is_knot(b):
+        raise AssertionError("closure check ran before the strand limit")
+
+    monkeypatch.setattr("hookalex.cli.closure_is_knot", closure_is_knot)
+    code, out, err = run_cli(capsys, *argv, "--strands", str(10 ** 9),
+                             "--braid", "1 2 3 4 5 6 7 8 9 10")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage error: --strands: {10 ** 9} strands is above the limit of 10")
+    assert len(err) < 300
+
+
 def test_table_refuses_an_entry_above_the_strand_limit_before_any_record(capsys):
     code, out, err = run_cli(capsys, "table", "--braids", "1 1 1@2;1 2 3 4 5 6 7 8 9 10@11",
                              "--max-hook-size", "1")

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,16 +54,16 @@ def test_framing_normalizes_eigenvalues():
 # entries are numerators over [n]_N, so each identity carries its power of [n]_N
 
 def test_first_doublet_fundamental():
-    b = doublet_block(Hook(0, 0), 2, False)
-    assert b.r11 == mono(-1, -2)
-    assert b.r22 == mono(1, 2)
-    assert b.r12 * b.r21 == qnum(3)
+    r11, r12, r21, r22 = doublet_block(Hook(0, 0), 2, False)
+    assert r11 == mono(-1, -2)
+    assert r22 == mono(1, 2)
+    assert r12 * r21 == qnum(3)
 
 
 def test_first_doublet_odd_leg():
-    b = doublet_block(Hook(1, 1), 2, False)
-    assert b.r11 == mono(1, -6)
-    assert b.r22 == mono(-1, 6)
+    r11, _, _, r22 = doublet_block(Hook(1, 1), 2, False)
+    assert r11 == mono(1, -6)
+    assert r22 == mono(-1, 6)
 
 
 def test_doublet_rejects_level_one():
@@ -76,17 +75,12 @@ def test_doublet_rejects_level_one():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_doublet_eigenvalue_constraints(h, n):
     # trace and determinant force the eigenvalue set {arm, leg}
-    b = doublet_block(h, n, False)
+    r11, r12, r21, r22 = doublet_block(h, n, False)
     bullet = qnum_bullet(n, h.size)
     arm, leg = hook_eigenvalues(h)
-    assert b.r11 + b.r22 == (arm + leg) * bullet
-    assert b.r11 * b.r22 - b.r12 * b.r21 == arm * leg * bullet * bullet
-    assert b.r11 * b.r11 + b.r22 * b.r22 + 2 * b.r12 * b.r21 == \
-        (arm * arm + leg * leg) * bullet * bullet
-
-
-def test_doublet_cache_reuses_instances():
-    assert doublet_block(Hook(1, 0), 3, False) is doublet_block(Hook(1, 0), 3, False)
+    assert r11 + r22 == (arm + leg) * bullet
+    assert r11 * r22 - r12 * r21 == arm * leg * bullet * bullet
+    assert r11 * r11 + r22 * r22 + 2 * r12 * r21 == (arm * arm + leg * leg) * bullet * bullet
 
 
 # -- operator assembly ----------------------------------------------------------------
@@ -95,37 +89,47 @@ def test_two_strand_operators_are_singlets():
     g = HookGraph(Hook(0, 0), 2)
     for k, expected in enumerate(hook_eigenvalues(Hook(0, 0))):
         op = assemble_R(g, k, 1)
-        assert op.dim == 1
-        assert op.doublets == ()
-        assert op.singlets[0][1] == expected
+        assert op.den.is_one()
+        assert list(op) == [{0: expected}]
 
 
 def test_three_strand_middle_vertex_is_one_doublet():
     g = HookGraph(Hook(0, 0), 3)
     op = assemble_R(g, 1, 2)
-    assert op.dim == 2
-    assert op.singlets == ()
-    ((pair, block),) = op.doublets
-    assert pair == (0, 1)  # paths "01", "10" in lexicographic order
-    assert block is doublet_block(Hook(0, 0), 2, False)
+    assert op.den == qnum_bullet(2, 1)
+    r11, r12, r21, r22 = doublet_block(Hook(0, 0), 2, False)
+    # paths "01", "10" in lexicographic order
+    assert list(op) == [{0: r11, 1: r12}, {0: r21, 1: r22}]
 
 
 def test_three_strand_corner_vertex_is_singlet():
     g = HookGraph(Hook(0, 0), 3)
     assert g.vertex(3, 0) == Hook(2, 0)
     op = assemble_R(g, 0, 1)
-    assert op.dim == 1 and op.doublets == ()
-    assert op.singlets[0][1] == hook_eigenvalues(Hook(0, 0))[0]
+    assert op.den.is_one()
+    assert list(op) == [{0: hook_eigenvalues(Hook(0, 0))[0]}]
 
 
 def test_every_index_covered_exactly_once():
+    # Each index is a singlet, its row one eigenvalue times den on the
+    # diagonal, or a member of one doublet pair, whose two rows share columns.
     g = HookGraph(Hook(1, 1), 4)
     for k in range(4):
         for i in range(1, 4):
-            op = assemble_R(g, k, i)
-            seen = [idx for idx, _ in op.singlets]
-            seen += [i for pair, _ in op.doublets for i in pair]
-            assert sorted(seen) == list(range(op.dim))
+            for inverse in (False, True):
+                op = assemble_R(g, k, i, inverse)
+                singlets = {e ** (-1 if inverse else 1) * op.den
+                            for e in hook_eigenvalues(g.base)}
+                pairs = 0
+                for r, row in enumerate(op):
+                    assert r in row and len(row) <= 2
+                    if len(row) == 1:
+                        assert row[r] in singlets
+                    else:
+                        (c,) = set(row) - {r}
+                        assert set(op[c]) == {r, c}
+                        pairs += 1
+                assert pairs == 0 or op.den == qnum_bullet(i, g.base.size)
 
 
 def test_assemble_rejects_bad_crossing_index():
@@ -138,9 +142,8 @@ def test_assemble_rejects_bad_crossing_index():
 
 def test_operator_caches_are_bounded():
     # 144 operators stay live over the widest benchmark workload; none may be evicted
-    for cached in (assemble_R, doublet_block):
-        maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 144
+    maxsize = assemble_R.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 144
 
 
 # -- traces ------------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def test_trace_dimension_mismatch():
 def _dense_product(ops):
     """The ordered product by plain LaurentPoly arithmetic on ``numerator_rows``."""
     zero = LaurentPoly.zero()
-    dim = ops[0].dim
+    dim = len(ops[0])
     acc = [[LaurentPoly.one() if r == c else zero for c in range(dim)] for r in range(dim)]
     den = LaurentPoly.one()
     for op in ops:
@@ -207,9 +210,12 @@ def _deep_products():
 
 
 def _scalar_width(ops):
-    """The width from ``dim * prod ||op||`` and ``prod ||op.den||_1`` alone."""
-    plans = [op.numerator_rows() for op in ops]
-    bound = ops[0].dim * math.prod(plan.norm for plan in plans)
+    """The width from ``dim * prod ||op||`` and ``prod ||op.den||_1`` alone.
+
+    ``||op||`` is the largest row sum of the entries' coefficient 1-norms.
+    """
+    bound = len(ops[0]) * math.prod(max(sum(_norm(p) for p in row.values()) for row in op)
+                                    for op in ops)
     den_bound = math.prod(_norm(op.den) for op in ops)
     return 8 * ((max(bound, den_bound).bit_length() + 8) // 8)
 
@@ -344,11 +350,11 @@ def test_doublet_free_products_keep_the_identity_columns():
                      1: [rng.choice((1, -1)) for _ in range(15)]}
             for k, letters in words.items():
                 ops = _fresh([assemble_R(g, k, abs(x), x < 0) for x in letters])
-                assert not any(op.doublets for op in ops)
+                assert all(op.den.is_one() for op in ops)
                 cols = rmatrix._packed_product(ops)[0]
                 assert cols == [[int(r == c) for r in range(len(cols))] for c in range(len(cols))]
                 assert tuple(trace_product(ops)) == _dense_trace(ops)
-                assert not any(op.numerator_rows()._widths for op in ops)
+                assert not any(op._widths for op in ops)
 
 
 def test_packed_trace_multiplies_no_polynomials(monkeypatch):
@@ -375,10 +381,14 @@ def test_packed_trace_multiplies_no_polynomials(monkeypatch):
     assert [tuple(trace_product(ops)) for ops in products] == expected
 
 
-# -- operator plans ------------------------------------------------------------------------
+# -- what products need of an operator -----------------------------------------------------
 
 def _norm(p):
     return sum(abs(c) for c in p.coeffs)
+
+
+def _exponents(p):
+    return [p.min_exp + j * p.step for j, c in enumerate(p.terms) if c]
 
 
 def test_plan_matches_its_rows():
@@ -389,30 +399,32 @@ def test_plan_matches_its_rows():
                 for i in range(1, m):
                     for inverse in (False, True):
                         op = assemble_R(g, k, i, inverse)
-                        plan = op.numerator_rows()
-                        assert plan.norm == max(sum(_norm(p) for p in row.values())
-                                                for row in plan)
-                        if op.doublets:
-                            assert plan.exps is None
-                        else:  # diagonal, with entries +-q**exps[c]
-                            assert [dict(row) for row in plan] == [
-                                {c: mono(-1 if plan.neg >> c & 1 else 1, e)}
-                                for c, e in enumerate(plan.exps)]
-                        it = iter(plan.col_norms)
+                        assert op.numerator_rows() is op
+                        diagonal = [e for c, row in enumerate(op) for e in _exponents(row[c])]
+                        gap = math.gcd(*[e - diagonal[0] for e in diagonal])
+                        if op.den.is_one():  # diagonal, with entries +-q**exps[c]
+                            assert [dict(row) for row in op] == [
+                                {c: mono(-1 if op.neg >> c & 1 else 1, e)}
+                                for c, e in enumerate(op.exps)]
+                            assert op.grade == gap
+                        else:  # every diagonal exponent in one class mod the grade, 2N
+                            assert op.exps is None and op.neg == 0
+                            assert op.grade == 2 * h.size and gap % op.grade == 0
+                        it = iter(op.col_norms)
                         norms = {(r, c): n for c, r, n in zip(it, it, it)}
-                        assert norms == {(r, c): _norm(p) for r, row in enumerate(plan)
+                        assert norms == {(r, c): _norm(p) for r, row in enumerate(op)
                                          for c, p in row.items()}
 
 
 def _fresh(ops):
-    """Copies of the operators, equal to them but with no plan built yet."""
-    copies = {id(op): replace(op) for op in ops}
+    """Copies of the operators, equal to them but with no packed terms yet."""
+    copies = {id(op): BlockOperator(op, op.den) for op in ops}
     return [copies[id(op)] for op in ops]
 
 
 def test_repeated_product_packs_nothing(monkeypatch):
     g = HookGraph(Hook(0, 0), 4)
-    ops = _fresh([assemble_R(g, 1, abs(x), x < 0) for x in (1, -2, 3, 2, -1, 3, 2)])
+    letters = (1, -2, 3, 2, -1, 3, 2)
     counts = Counter()
     pack, mul = rmatrix.pack, LaurentPoly.__mul__
 
@@ -426,8 +438,12 @@ def test_repeated_product_packs_nothing(monkeypatch):
 
     monkeypatch.setattr(rmatrix, "pack", counted_pack)
     monkeypatch.setattr(LaurentPoly, "__mul__", counted_mul)
+    built = {x: assemble_R.__wrapped__(g, 1, abs(x), x < 0) for x in set(letters)}
+    ops = [built[x] for x in letters]
+    assert counts["mul"] and not counts["pack"]
+    counts.clear()
     first = trace_product(ops)
-    assert counts["pack"] and counts["mul"]
+    assert counts["pack"] and not counts["mul"]
     counts.clear()
     assert trace_product(ops) == first
     assert not counts
@@ -458,7 +474,7 @@ def test_plan_width_memo_is_bounded():
         ops = [op] * n
         t = trace_product(ops)
         widths.add(rmatrix._packed_product(ops)[1])
-        assert len(op.numerator_rows()._widths) <= PLAN_WIDTHS
+        assert len(op._widths) <= PLAN_WIDTHS
         if n % 5 == 0:
             dense, dense_den = _dense_product(ops)
             assert t.num == dense[0][0] + dense[1][1] and t.den == dense_den
@@ -493,10 +509,11 @@ def test_transposition_identity_holds():
 @pytest.mark.parametrize("hook,entry", [(Hook(1, 0), "r21"), (Hook(0, 0), "r11")])
 def test_transposition_check_catches_a_flipped_doublet_sign(monkeypatch, hook, entry):
     def flipped(h, n, inverse):
-        block = doublet_block(h, n, inverse)
+        block = list(doublet_block(h, n, inverse))
         if h == hook and n == 2:
-            return replace(block, **{entry: -getattr(block, entry)})
-        return block
+            at = ("r11", "r12", "r21", "r22").index(entry)
+            block[at] = -block[at]
+        return tuple(block)
 
     assemble_R.cache_clear()
     monkeypatch.setattr(rmatrix, "doublet_block", flipped)

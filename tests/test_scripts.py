@@ -4,7 +4,6 @@ import importlib.util
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,8 +65,8 @@ def test_yb_sweep_reports_a_failed_transposition(monkeypatch, capsys):
     original = rmatrix.doublet_block
 
     def flipped(h, n, inverse):  # one doublet sign of hook (1,0) is wrong
-        block = original(h, n, inverse)
-        return replace(block, r21=-block.r21) if h == Hook(1, 0) and n == 2 else block
+        r11, r12, r21, r22 = original(h, n, inverse)
+        return (r11, r12, -r21 if h == Hook(1, 0) and n == 2 else r21, r22)
 
     rmatrix.assemble_R.cache_clear()
     monkeypatch.setattr(rmatrix, "doublet_block", flipped)

@@ -120,6 +120,11 @@ def test_strand_budget():
     assert isinstance(exc.value, BraidError)
     assert f"{m} strands" in str(exc.value)
     assert str(comb(m - 1, (m - 1) // 2)) in str(exc.value)
+    # a huge count is refused at once: its path count is bounded, not computed
+    with pytest.raises(StrandBudgetError, match=r"would hold over 2\^999999969 paths"):
+        enumerate_paths(HookGraph(Hook(0, 0), 10 ** 9), 0)
+    for m in range(65, 300):  # the bound the message states for counts it does not compute
+        assert comb(m - 1, (m - 1) // 2) > 2 ** (m - 1 - m.bit_length())
 
 
 def test_path_counts_pascal_recurrence():
