@@ -104,11 +104,15 @@ def _hook(cfg: RunConfig) -> Hook:
         raise BraidError(f"--arm/--leg: {exc}") from exc
 
 
-def _braid(cfg: RunConfig) -> BraidWord:
+def _strands(cfg: RunConfig) -> None:
     try:
-        check_strands(cfg.strands)  # before the closure check allocates one slot per strand
+        check_strands(cfg.strands)
     except BraidError as exc:
         raise BraidError(f"--strands: {exc}") from exc
+
+
+def _braid(cfg: RunConfig) -> BraidWord:
+    _strands(cfg)  # before the closure check allocates one slot per strand
     try:
         b = parse_braid(cfg.braid_text, cfg.strands)
     except BraidError as exc:
@@ -182,6 +186,7 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
     color = _hook(cfg)
     if cfg.strands < 3:
         raise BraidError("--strands: Yang-Baxter needs at least 3 strands")
+    _strands(cfg)
     graph = HookGraph(color, cfg.strands)
     ok = True
     for k in range(cfg.strands):

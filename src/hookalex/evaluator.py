@@ -7,25 +7,28 @@ assembled as
         (+-1 / [m]_N) * trace of the braid's crossing operators on mu's path basis
 
 with ``phi`` the per-crossing framing factor, ``+-1 / [m]_N`` the closed-form
-quantum-dimension weight (:func:`hookalex.schur.hook_weight`) and ``[i]_N``
-the q-number at q -> q^N.  Each vertex's operators are assembled once per
-distinct letter.  The kernel returns each trace as an integer numerator over
-its own denominator, the product of the operators' ``den``: ``[|g|]_N`` for
-a letter whose operator has a doublet, else 1.  Every letter with ``|g| >= 2``
-has a doublet at every interior vertex (``0 < k < m - 1``), and no letter
-has one at the two end vertices, so every interior vertex has the same
-denominator ``prod [|g|]_N`` over those letters, the common denominator, and
-an end vertex has 1.  An end vertex's numerator is lifted to the common
-denominator by multiplying by it, no other numerator needs lifting, and the
-terms are added as integer Laurent polynomials; a single exact division by
-``[m]_N`` times the common denominator finishes the sum.  It always divides
-out to an integer Laurent polynomial; any other vertex denominator, or a
-failure to divide, is an internal inconsistency, never user error, and a
-denominator that cannot be lifted names its vertex.  The
-polynomial is finally normalized by the unit ``+-q^j`` that centers its
-exponent range and makes its value at q = 1 equal to +1 (the invariant is
-classically defined only up to such units, and the strict framing correction
-leaves a residual sign (-1)^(leg * writhe) which this absorbs).
+quantum-dimension weight (:func:`hook_weight`) and ``[i]_N`` the q-number at
+q -> q^N.  Each vertex's operators are assembled once per distinct letter.
+The kernel returns each trace as an integer numerator over its own
+denominator, the product of the operators' ``den``: ``[|g|]_N`` for a letter
+whose operator has a doublet, else 1.  Every letter with ``|g| >= 2`` has a
+doublet at every interior vertex (``0 < k < m - 1``), and no letter has one
+at the two end vertices, so every interior vertex has the same denominator
+``prod [|g|]_N`` over those letters, the common denominator, and an end
+vertex has 1.  An end vertex's numerator is lifted to the common denominator
+by multiplying by it, no other numerator needs lifting, and the terms are
+added as integer Laurent polynomials; a single exact division by ``[m]_N``
+times the common denominator finishes the sum.  It always divides out to an
+integer Laurent polynomial; any other vertex denominator, or a failure to
+divide, is an internal inconsistency, never user error, and a denominator
+that cannot be lifted names its vertex.  The polynomial is finally
+normalized by the unit ``+-q^j`` that centers its exponent range and makes
+its value at q = 1 equal to +1 (the invariant is classically defined only up
+to such units).  The framing correction ``phi^(-writhe)`` is such a unit, a
+signed monomial: multiplying by ``+-q^j`` moves both ends of the exponent
+range by ``j``, and the value at q = 1 fixes the sign.  So the normalization
+removes it, together with the residual sign ``(-1)^(leg * writhe)`` it would
+leave, and it is never multiplied in.
 
 A self-transpose color (``arm == leg``, the fundamental color among them)
 needs operator products at only the vertices ``k`` with ``2k <= m - 1``: the
@@ -71,9 +74,22 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, NotAKnotError, closure_is_knot
 from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
-from .rmatrix import Trace, assemble_R, framing_factor, trace_product
-from .schur import hook_weight
+from .rmatrix import Trace, assemble_R, trace_product
 from .young import Hook, HookGraph
+
+
+def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
+    """The A -> 1 weight of summand ``mu`` of a power of ``color`` as ``(sign, m)``.
+
+    The weight is ``sign / [m]_N``: ``sign = (-1)^(l+s)`` and ``m = |mu| / N``.
+
+    >>> hook_weight(Hook(1, 0), Hook(2, 3))
+    (-1, 3)
+    """
+    m, rest = divmod(mu.size, color.size)
+    if rest or m < 1:
+        raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
+    return (-1 if (color.leg + mu.leg) % 2 else 1), m
 
 
 class NormalizationError(ArithmeticError):
@@ -119,8 +135,9 @@ class AlexanderResult:
     """A colored Alexander polynomial plus its per-vertex trace contributions.
 
     Each contribution is one top-level vertex's weighted trace as an integer
-    numerator over the shared ``denominator``.  Their sum divided by it, times
-    the framing correction, is the polynomial before unit normalization.
+    numerator over the shared ``denominator``.  Their sum divided by it is the
+    polynomial before unit normalization, which also removes the framing
+    correction ``phi^(-writhe)``, a signed monomial.
     """
 
     polynomial: LaurentPoly
@@ -170,8 +187,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
         raise InexactDivisionError(
             f"vertex sum: final division on m={m} strands: ({total.summary()}) is not "
             f"divisible by ({denominator.summary()})") from exc
-    poly = quotient * framing_factor(color) ** (-b.writhe)
-    return AlexanderResult(unit_normalize(poly), color, b, tuple(contributions), denominator)
+    return AlexanderResult(unit_normalize(quotient), color, b, tuple(contributions), denominator)
 
 
 @dataclass(frozen=True)

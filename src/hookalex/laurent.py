@@ -102,12 +102,6 @@ class LaurentPoly:
         """Exponent of the highest term (garbage 0 for the zero polynomial)."""
         return self.min_exp + (len(self.terms) - 1) * self.step if self.terms else 0
 
-    def coefficient(self, exp: int) -> int:
-        i, off = divmod(exp - self.min_exp, self.step)
-        if off == 0 and 0 <= i < len(self.terms):
-            return self.terms[i]
-        return 0
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: int | LaurentPoly) -> LaurentPoly:

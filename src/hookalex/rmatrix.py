@@ -9,11 +9,14 @@ and ``N = a + l + 1``,
 
 On the path basis of the hook graph, the operator for crossing ``(i, i+1)``
 splits into singlets (paths stepping arm-arm or leg-leg through level ``i``)
-and 2x2 doublets pairing the two paths that differ only at level ``i``.  The
-doublet depends only on the level ``n``, never on the horizontal position.
-With ``phi = (-1)^l q^K`` the framing factor, so that the eigenvalues are
-``phi q^N`` and ``-phi q^-N``, and ``[n].`` the q-number at q -> q^N, its
-entries are integer numerators over the single denominator ``[n].``:
+and 2x2 doublets pairing the two paths that differ only at level ``i``.  A
+path is a bit word, 1 for a leg step (:func:`hookalex.young.enumerate_paths`),
+so its steps around level ``i`` are two adjacent bits, and its doublet partner
+is the word with both flipped.  The doublet depends only on the level ``n``,
+never on the horizontal position.  With ``phi = (-1)^l q^K`` the framing
+factor, so that the eigenvalues are ``phi q^N`` and ``-phi q^-N``, and ``[n].``
+the q-number at q -> q^N, its entries are integer numerators over the single
+denominator ``[n].``:
 
     [n]. r11 = -phi q^(-nN)       [n]. r12 = q^K [n+1]. [n-1].
     [n]. r21 =      q^K           [n]. r22 =  phi q^(nN)
@@ -68,7 +71,7 @@ from typing import NamedTuple, Sequence
 from .laurent import (InexactDivisionError, LaurentPoly, pack, packing_width, power_product,
                       qnum_bullet, unpack)
 from .laurent import exact_div  # noqa: F401  (the benchmark's tracer patches it here)
-from .young import Hook, HookGraph, Path, enumerate_paths
+from .young import Hook, HookGraph, enumerate_paths
 
 
 def framing_exponent(h: Hook) -> int:
@@ -209,30 +212,27 @@ class BlockOperator(list):
         return found
 
 
-def _classify(path: Path, i: int) -> tuple[int, int] | int:
-    """Step pair of ``path`` around level ``i``; the first crossing sees one step only."""
-    if i == 1:
-        return path.choices[0]
-    return path.choices[i - 2], path.choices[i - 1]
-
-
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -> BlockOperator:
     """The crossing operator for strands ``(i, i+1)`` on the target's path basis.
 
     Paths stepping arm-arm (resp. leg-leg) through level ``i`` are singlets
     with the arm (resp. leg) eigenvalue; mixed paths pair with their level-i
-    toggle partner in the level-``i`` doublet.  ``inverse`` reciprocates the
-    singlets and takes the inverse doublet's closed form.  With a doublet,
-    every entry is a numerator over ``[i]_N``, the singlets' included.
+    partner, the word with both steps flipped, in the level-``i`` doublet.
+    ``inverse`` reciprocates the singlets and takes the inverse doublet's
+    closed form.  With a doublet, every entry is a numerator over ``[i]_N``,
+    the singlets' included.
     """
     m = graph.levels
     if not 1 <= i <= m - 1:
         raise ValueError(f"crossing index {i} outside 1..{m - 1}")
     paths = enumerate_paths(graph, target_k)
-    steps = [_classify(p, i) for p in paths]
+    # the steps into and out of level i are the two bits at ``shift``; the first
+    # crossing sees one step only
+    shift, mask = m - 1 - i, 1 if i == 1 else 3
+    steps = [p >> shift & mask for p in paths]
     den = LaurentPoly.one()
-    if (0, 1) in steps:  # every doublet of the operator is this level-i block
+    if mask == 3 and 1 in steps:  # every doublet of the operator is this level-i block
         den, block = qnum_bullet(i, graph.base.size), doublet_block(graph.base, i, inverse)
     arm, leg = hook_eigenvalues(graph.base)
     if inverse:
@@ -241,14 +241,14 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
     index = {p: idx for idx, p in enumerate(paths)}
     rows: NumeratorRows = [{} for _ in paths]
     for idx, (p, s) in enumerate(zip(paths, steps)):
-        if s in (0, (0, 0)):
+        if s == 0:
             rows[idx][idx] = arm
-        elif s in (1, (1, 1)):
+        elif s == mask:
             rows[idx][idx] = leg
-        elif s == (0, 1):
-            j = index[p.toggle(i - 1)]
+        elif s == 1:  # arm-leg: the doublet partner steps leg-arm
+            j = index[p ^ 3 << shift]
             rows[idx][idx], rows[idx][j], rows[j][idx], rows[j][j] = block
-        # the (1, 0) member is recorded by its (0, 1) partner
+        # the leg-arm member is recorded by its arm-leg partner
     return BlockOperator(rows, den)
 
 

@@ -13,12 +13,14 @@ m-th tensor power the surviving ratio is ``(-1)^(l+s) [N] / [mN]`` with
 ``N = a + l + 1``, which is ``(-1)^(l+s) / [m]_N`` since ``[mN]/[N] = [m]_N``
 (the q-number at q -> q^N); any summand with diagonal length two or more
 contributes zero.  The evaluator takes its weights from that closed form
-(:func:`hook_weight`); the factor lists, and the Jacobi-Trudi determinant over
-complete homogeneous functions built from the power sums, are the independent
-oracle for it.  A ratio is an integer pair ``(num, den)`` of Laurent
-polynomials, compared by cross-multiplying; the power sums, the complete
-homogeneous functions and the determinant are `Fraction` values at a rational
-point ``(A, q)``, the determinant taken by :func:`hookalex.laurent.det`.
+(:func:`hookalex.evaluator.hook_weight`); the factor lists, and the
+Jacobi-Trudi determinant over complete homogeneous functions built from the
+power sums, are the independent oracle for it, so this module imports nothing
+from the evaluator or the operators, and evaluating a knot never loads it.  A
+ratio is an integer pair ``(num, den)`` of Laurent polynomials, compared by
+cross-multiplying; the power sums, the complete homogeneous functions and the
+determinant are `Fraction` values at a rational point ``(A, q)``, the
+determinant taken by :func:`hookalex.laurent.det`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPoly, det, qnum_bullet
+from .laurent import LaurentPoly, det
 from .young import Hook, Partition
 
 
@@ -67,9 +69,11 @@ def ratio_at_A1(color: Hook, mu: Partition) -> tuple[LaurentPoly, LaurentPoly]:
     diagonal length > 1; for one-hook ``mu`` the single vanishing factor of
     each side cancels and the rest evaluates at A = 1.
 
+    The fundamental color against ``[2,1,1]``, the hook ``(1,2)`` of 4 boxes,
+    gives ``(-1)^2 / [4]``:
+
     >>> num, den = ratio_at_A1(Hook(0, 0), Partition((2, 1, 1)))
-    >>> sign, bullet = ratio_closed_form(Hook(0, 0), Hook(1, 2))
-    >>> num * bullet == sign * den
+    >>> num * LaurentPoly(-3, (1, 0, 1, 0, 1, 0, 1)) == den
     True
     """
     if mu.size % color.size != 0 or mu.size < color.size:
@@ -89,26 +93,6 @@ def ratio_at_A1(color: Hook, mu: Partition) -> tuple[LaurentPoly, LaurentPoly]:
         if c != 0:
             den = den * _difference(c)
     return num, den
-
-
-def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
-    """The A -> 1 weight of summand ``mu`` of a power of ``color`` as ``(sign, m)``.
-
-    The weight is ``sign / [m]_N``: ``sign = (-1)^(l+s)`` and ``m = |mu| / N``.
-
-    >>> hook_weight(Hook(1, 0), Hook(2, 3))
-    (-1, 3)
-    """
-    m, rest = divmod(mu.size, color.size)
-    if rest or m < 1:
-        raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
-    return (-1 if (color.leg + mu.leg) % 2 else 1), m
-
-
-def ratio_closed_form(color: Hook, mu: Hook) -> tuple[LaurentPoly, LaurentPoly]:
-    """The same ratio from the closed form :func:`hook_weight`, as ``(sign, [m]_N)``."""
-    sign, m = hook_weight(color, mu)
-    return LaurentPoly.constant(sign), qnum_bullet(m, color.size)
 
 
 @dataclass(frozen=True)

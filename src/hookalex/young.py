@@ -5,13 +5,14 @@ column of ``l + 1`` boxes sharing the corner.  Tensoring two hooks and keeping
 only the one-hook part gives exactly two summands, so the tower of tensor
 powers of a fixed hook projects onto a triangular graph whose level ``n``
 holds ``n`` vertices in closed form.  Paths down that graph index the basis in
-which all braiding operators are assembled.
+which all braiding operators are assembled.  A path is an arm or a leg step
+per level, so it is stored as a bit word, built from its leg positions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Iterator
 
@@ -88,14 +89,6 @@ class Partition:
     def diagonal_length(self) -> int:
         """Number of boxes (i, i) on the main diagonal."""
         return sum(1 for i, p in enumerate(self.parts) if p > i)
-
-    def is_one_hook(self) -> bool:
-        return bool(self.parts) and self.diagonal_length == 1
-
-    def as_hook(self) -> Hook:
-        if not self.is_one_hook():
-            raise ValueError(f"{self} is not a one-hook diagram")
-        return Hook(self.parts[0] - 1, len(self.parts) - 1)
 
     def column_lengths(self) -> tuple[int, ...]:
         if not self.parts:
@@ -183,38 +176,23 @@ class HookGraph:
             raise ValueError(f"vertex index {k} outside 0..{n - 1}")
         return Hook(n * self.base.arm + (n - 1 - k), n * self.base.leg + k)
 
-    def level(self, n: int) -> tuple[Hook, ...]:
-        return tuple(self.vertex(n, k) for k in range(n))
 
+def enumerate_paths(graph: HookGraph, target_k: int) -> tuple[int, ...]:
+    """All paths ending at vertex ``target_k`` of the top level, as increasing bit words.
 
-@dataclass(frozen=True)
-class Path:
-    """A root-to-leaf path, encoded by one 0/1 choice per step (0 arm, 1 leg)."""
+    A path is an int with one bit per step, 1 for a leg step, the first step
+    the most significant of ``levels - 1`` bits, so increasing ints are the
+    lexicographic order of the steps.  The words are built from the leg
+    positions, so only the C(levels - 1, target_k) paths are visited.  A graph
+    of more than MAX_STRANDS levels raises :class:`StrandBudgetError`,
+    whatever the target.
 
-    choices: tuple[int, ...]
-
-    def toggle(self, step: int) -> Path:
-        """Swap the (arm, leg) step pair starting at 1-indexed step ``step``."""
-        c = list(self.choices)
-        c[step - 1], c[step] = c[step], c[step - 1]
-        return Path(tuple(c))
-
-    def __str__(self) -> str:
-        return "".join(str(c) for c in self.choices)
-
-
-def enumerate_paths(graph: HookGraph, target_k: int) -> tuple[Path, ...]:
-    """All paths ending at vertex ``target_k`` of the top level, in lexicographic order.
-
-    There are C(levels - 1, target_k) of them.  A graph of more than
-    MAX_STRANDS levels raises :class:`StrandBudgetError`, whatever the target.
+    >>> [format(p, "03b") for p in enumerate_paths(HookGraph(Hook(0, 0), 4), 1)]
+    ['001', '010', '100']
     """
     m = graph.levels
     check_strands(m)
     steps = m - 1
     if not 0 <= target_k <= steps:
         raise ValueError(f"target vertex {target_k} outside 0..{steps}")
-    paths = tuple(Path(bits) for bits in itertools.product((0, 1), repeat=steps)
-                  if sum(bits) == target_k)
-    assert len(paths) == comb(steps, target_k)
-    return paths
+    return tuple(sorted(sum(1 << j for j in legs) for legs in combinations(range(steps), target_k)))

@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, settings
 
 from hookalex.braid import BraidWord, closure_is_knot, parse_braid
 from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
+from hookalex.evaluator import hook_weight
+from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.rmatrix import assemble_R, framing_exponent
-from hookalex.young import HookGraph
+from hookalex.young import Hook, HookGraph
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None,
@@ -35,6 +37,12 @@ SCHUR_POINTS = (
 def same_ratio(x, y) -> bool:
     """Whether the ``(num, den)`` pairs ``x`` and ``y`` are the same fraction."""
     return x[0] * y[1] == y[0] * x[1]
+
+
+def ratio_closed_form(color: Hook, mu: Hook) -> tuple[LaurentPoly, LaurentPoly]:
+    """The engine's vertex weight :func:`hook_weight` as the ratio ``(sign, [m]_N)``."""
+    sign, m = hook_weight(color, mu)
+    return LaurentPoly.constant(sign), qnum_bullet(m, color.size)
 
 
 def corpus_knots() -> list[BraidWord]:

@@ -12,12 +12,13 @@ from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
                               hook_eigenvalues, trace_product, yang_baxter_holds)
-from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, ratio_closed_form,
-                            topological_factors, topological_power_sums)
+from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors,
+                            topological_power_sums)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
 
 from conftest import (SCHUR_POINTS, corpus_knots, markov_variants, random_knot_braids,
-                      same_ratio, symmetric_operator_numeric, trace_product_numeric)
+                      ratio_closed_form, same_ratio, symmetric_operator_numeric,
+                      trace_product_numeric)
 
 SCALING_HOOKS = (Hook(1, 0), Hook(0, 1), Hook(1, 1), Hook(2, 0),
                  Hook(2, 1), Hook(1, 2), Hook(2, 2))

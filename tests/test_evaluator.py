@@ -5,12 +5,11 @@ import pytest
 
 from hookalex.braid import NotAKnotError, closure_is_knot, parse_braid
 from hookalex.cli import main
-from hookalex.evaluator import (NormalizationError, alexander, check_scaling,
+from hookalex.evaluator import (NormalizationError, alexander, check_scaling, hook_weight,
                                 unit_normalize)
 from hookalex.laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import assemble_R, framing_factor, trace_product
-from hookalex.schur import hook_weight
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
 from conftest import markov_variants, random_knot, torus_braid, torus_closed_form
@@ -43,6 +42,16 @@ def test_uncenterable_message_is_bounded():
         with pytest.raises(NormalizationError) as exc:
             unit_normalize(p)
         assert p.summary() in str(exc.value) and len(str(exc.value)) < 300
+
+
+@pytest.mark.parametrize("hook", [Hook(0, 0), Hook(1, 0), Hook(0, 1), Hook(2, 1)])
+def test_normalization_absorbs_every_unit(knots, hook):
+    # so the framing correction phi^(-writhe), a signed monomial, needs no multiply
+    for b in knots:
+        poly = alexander(hook, b).polynomial
+        for sign in (1, -1):
+            for j in range(-7, 8):
+                assert unit_normalize(poly * LaurentPoly.monomial(sign, j)) == poly, (b, j)
 
 
 # -- reference values -----------------------------------------------------------------

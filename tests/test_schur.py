@@ -1,14 +1,20 @@
+import ast
+import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hookalex import schur
 from hookalex.laurent import LaurentPoly, qnum
-from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, ratio_closed_form,
-                            topological_factors, topological_power_sums,
-                            PowerSumSpec)
+from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors,
+                            topological_power_sums, PowerSumSpec)
 from hookalex.young import Hook, Partition, hooks_up_to_size, partitions_of
 
-from conftest import SCHUR_POINTS, same_ratio
+from conftest import SCHUR_POINTS, ratio_closed_form, same_ratio
 
 
 # -- factor lists ---------------------------------------------------------------
@@ -109,3 +115,22 @@ def test_power_sum_spec_bounds():
         spec.p(4)
     with pytest.raises(ValueError):
         spec.p(0)
+
+
+# -- independence -----------------------------------------------------------------------
+
+def test_oracle_is_apart_from_the_engine():
+    # the engine's weight lives in the evaluator, so evaluating never loads the oracle
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hookalex; print('hookalex.schur' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # and the oracle takes nothing from the evaluator or the operators
+    imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(schur)))
+                if isinstance(node, ast.ImportFrom)}
+    assert imported and not imported & {"evaluator", "rmatrix"}

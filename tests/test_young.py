@@ -46,13 +46,17 @@ def test_tensor_with_single_box():
 
 # -- the layered graph -------------------------------------------------------------
 
+def level(g: HookGraph, n: int) -> tuple[Hook, ...]:
+    return tuple(g.vertex(n, k) for k in range(n))
+
+
 def test_graph_levels_closed_form():
     g = HookGraph(Hook(0, 0), 3)
-    assert g.level(3) == (Hook(2, 0), Hook(1, 1), Hook(0, 2))
+    assert level(g, 3) == (Hook(2, 0), Hook(1, 1), Hook(0, 2))
     g = HookGraph(Hook(1, 1), 2)
-    assert g.level(2) == (Hook(3, 2), Hook(2, 3))
+    assert level(g, 2) == (Hook(3, 2), Hook(2, 3))
     for base in (Hook(0, 0), Hook(2, 1)):
-        assert HookGraph(base, 5).level(1) == (base,)
+        assert level(HookGraph(base, 5), 1) == (base,)
 
 
 def test_graph_rejects_bad_input():
@@ -71,7 +75,7 @@ def test_graph_consistent_with_tensor_rule(base):
     levels = 12
     g = HookGraph(base, levels)
     for n in range(1, levels + 1):
-        for k, v in enumerate(g.level(n)):
+        for k, v in enumerate(level(g, n)):
             assert v.size == n * base.size
             if n < levels:
                 arm, leg = hook_tensor_onehook(v, base)
@@ -81,15 +85,20 @@ def test_graph_consistent_with_tensor_rule(base):
 
 # -- paths ----------------------------------------------------------------------------
 
+def steps(p: int, m: int) -> str:
+    """Path ``p`` of an ``m``-level graph as its steps, first step first (1 a leg step)."""
+    return format(p, f"0{m - 1}b")
+
+
 def test_single_path():
     g = HookGraph(Hook(0, 0), 2)
-    assert [str(p) for p in enumerate_paths(g, 0)] == ["0"]
+    assert [steps(p, 2) for p in enumerate_paths(g, 0)] == ["0"]
 
 
 def test_two_paths_to_middle_vertex():
     g = HookGraph(Hook(0, 0), 3)
     assert g.vertex(3, 1) == Hook(1, 1)
-    assert [str(p) for p in enumerate_paths(g, 1)] == ["01", "10"]
+    assert [steps(p, 3) for p in enumerate_paths(g, 1)] == ["01", "10"]
 
 
 def test_path_count_binomial():
@@ -97,10 +106,24 @@ def test_path_count_binomial():
     assert len(enumerate_paths(g, 2)) == 6
 
 
+def test_paths_are_the_bit_words_with_k_legs():
+    # the reference is the filter over all 2^(m-1) words that the enumerator avoids
+    for m in range(2, 11):
+        for k in range(m):
+            expected = tuple(w for w in range(2 ** (m - 1)) if bin(w).count("1") == k)
+            assert enumerate_paths(HookGraph(Hook(1, 0), m), k) == expected, (m, k)
+
+
+def test_paths_are_built_from_leg_positions(monkeypatch):
+    # 2^39 words: a filter over all of them would not finish
+    monkeypatch.setattr("hookalex.young.MAX_STRANDS", 40)
+    assert enumerate_paths(HookGraph(Hook(0, 0), 40), 1) == tuple(1 << j for j in range(39))
+
+
 def test_paths_lexicographic():
     g = HookGraph(Hook(1, 0), 5)
     for k in range(5):
-        strings = [str(p) for p in enumerate_paths(g, k)]
+        strings = [steps(p, 5) for p in enumerate_paths(g, k)]
         assert strings == sorted(strings)
 
 
@@ -144,10 +167,11 @@ def test_path_vertices_follow_tensor_rule():
     g = HookGraph(base, 5)
     for k in range(5):
         for p in enumerate_paths(g, k):
+            choices = [int(c) for c in steps(p, 5)]
             walked = base
-            for n, step in enumerate(p.choices, start=2):
+            for n, step in enumerate(choices, start=2):
                 walked = hook_tensor_onehook(walked, base)[step]
-                assert walked == g.vertex(n, sum(p.choices[:n - 1]))
+                assert walked == g.vertex(n, sum(choices[:n - 1]))
             assert walked == g.vertex(5, k)
 
 
@@ -184,7 +208,9 @@ def test_hook_corner_hook_length_is_size():
 
 def test_hook_partition_roundtrip():
     for h in hooks_up_to_size(5):
-        assert h.as_partition().as_hook() == h
+        p = h.as_partition()
+        assert (p.parts[0] - 1, len(p.parts) - 1) == (h.arm, h.leg)
+        assert p.diagonal_length == 1 and p.size == h.size
 
 
 def test_partitions_of():
