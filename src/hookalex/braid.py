@@ -11,6 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# The most characters of an input that an error message quotes.
+EXCERPT = 40
+
+
+def excerpt(text: str) -> str:
+    """``text`` quoted for an error message; a longer one as a prefix and its length.
+
+    >>> excerpt("1 -2 1 -2")
+    "'1 -2 1 -2'"
+    >>> excerpt("1" * 100)
+    "'1111111111111111111111111111111111111111'... (100 characters)"
+    """
+    if len(text) <= EXCERPT:
+        return repr(text)
+    return f"{text[:EXCERPT]!r}... ({len(text)} characters)"
+
+
 class BraidError(ValueError):
     """Base class for braid input problems."""
 
@@ -66,7 +83,8 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         try:
             letters.append(int(token))
         except ValueError:
-            raise MalformedTokenError(f"braid token {token!r} is not an integer") from None
+            raise MalformedTokenError(
+                f"braid token {excerpt(token)} is not an integer") from None
     return BraidWord(strands, tuple(letters))
 
 

@@ -10,12 +10,12 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .braid import BraidError, BraidWord, closure_is_knot, parse_braid
-from .evaluator import NormalizationError, ScalingReport, alexander, check_scaling
-from .laurent import InexactDivisionError
+from .braid import BraidError, BraidWord, closure_is_knot, excerpt, parse_braid
+from .evaluator import ScalingReport, alexander, check_scaling
+from .laurent import InexactDivisionError, NormalizationError
 from .oracle import burau_alexander
-from .rmatrix import commutation_holds, yang_baxter_holds
-from .young import Hook, HookGraph, check_strands, hooks_up_to_size
+from .rmatrix import commutation_holds, transpose_holds, yang_baxter_holds
+from .young import Hook, HookGraph, check_hook_size, check_strands, hooks_up_to_size
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_braid_flags(p_thm)
     p_thm.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
 
-    p_yb = sub.add_parser("check-yb",
-                          help="verify the Yang-Baxter and far-commutation identities")
+    p_yb = sub.add_parser("check-yb", help="verify the Yang-Baxter, far-commutation "
+                          "and transposition identities of the crossing operators")
     p_yb.add_argument("--strands", type=int, required=True)
     p_yb.add_argument("--arm", type=int, required=True)
     p_yb.add_argument("--leg", type=int, required=True)
@@ -99,9 +99,11 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
 
 def _hook(cfg: RunConfig) -> Hook:
     try:
-        return Hook(cfg.arm, cfg.leg)
+        color = Hook(cfg.arm, cfg.leg)
+        check_hook_size(color.size)
     except ValueError as exc:
         raise BraidError(f"--arm/--leg: {exc}") from exc
+    return color
 
 
 def _strands(cfg: RunConfig) -> None:
@@ -118,7 +120,7 @@ def _braid(cfg: RunConfig) -> BraidWord:
     except BraidError as exc:
         raise BraidError(f"--braid: {exc}") from exc
     if not closure_is_knot(b):
-        raise BraidError(f"--braid: closure of '{cfg.braid_text}' is not a knot")
+        raise BraidError(f"--braid: closure of {excerpt(cfg.braid_text)} is not a knot")
     return b
 
 
@@ -131,11 +133,11 @@ def parse_table_braids(entries: tuple[str, ...]) -> list[BraidWord]:
     for item in entries:
         text, _, strands = item.partition("@")
         if not strands:
-            raise BraidError(f"--braids: entry {item!r} is missing '@strands'")
+            raise BraidError(f"--braids: entry {excerpt(item)} is missing '@strands'")
         try:
             count = int(strands)
         except ValueError:
-            raise BraidError(f"--braids: bad strand count in {item!r}") from None
+            raise BraidError(f"--braids: bad strand count in {excerpt(item)}") from None
         try:
             braids.append(parse_braid(text.strip(), count))
             check_strands(count)
@@ -183,31 +185,41 @@ def _run_check_theorem(cfg: RunConfig, out) -> int:
 
 
 def _run_check_yb(cfg: RunConfig, out) -> int:
-    color = _hook(cfg)
-    if cfg.strands < 3:
+    color, m = _hook(cfg), cfg.strands
+    if m < 3:
         raise BraidError("--strands: Yang-Baxter needs at least 3 strands")
     _strands(cfg)
-    graph = HookGraph(color, cfg.strands)
-    ok = True
-    for k in range(cfg.strands):
-        for i in range(1, cfg.strands - 1):
-            good = yang_baxter_holds(graph, k, i)
-            ok = ok and good
-            print(f"{'ok  ' if good else 'FAIL'} yb i={i},{i + 1} target k={k} hook {color}",
-                  file=out)
-        for i in range(1, cfg.strands - 1):
-            for j in range(i + 2, cfg.strands):
-                good = commutation_holds(graph, k, i, j)
-                ok = ok and good
-                print(f"{'ok  ' if good else 'FAIL'} commute i={i} j={j} target k={k}", file=out)
-    print(f"{'PASS' if ok else 'FAIL'}  Yang-Baxter suite hook {color} strands {cfg.strands}",
-          file=out)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    graph = HookGraph(color, m)
+
+    def checks():
+        for k in range(m):
+            for i in range(1, m - 1):
+                yield f"yb i={i},{i + 1} target k={k} hook {color}", yang_baxter_holds(graph, k, i)
+            for i in range(1, m - 1):
+                for j in range(i + 2, m):
+                    yield f"commute i={i} j={j} target k={k}", commutation_holds(graph, k, i, j)
+            for i in range(1, m):
+                for inverse in (False, True):
+                    yield (f"transpose i={i} target k={k} inverse={inverse}",
+                           transpose_holds(graph, k, i, inverse))
+
+    total = failed = 0
+    for label, good in checks():
+        total += 1
+        failed += not good
+        print(f"{'ok  ' if good else 'FAIL'} {label}", file=out)
+    print(f"{'FAIL' if failed else 'PASS'}  {total - failed} of {total} operator identities "
+          f"hold, hook {color} strands {m}", file=out)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 def _run_table(cfg: RunConfig, out) -> int:
     if cfg.max_hook_size < 1:
         raise BraidError(f"--max-hook-size: must be at least 1, got {cfg.max_hook_size}")
+    try:
+        check_hook_size(cfg.max_hook_size)
+    except BraidError as exc:
+        raise BraidError(f"--max-hook-size: {exc}") from exc
     knots = [b for b in parse_table_braids(cfg.table_braids) if closure_is_knot(b)]
     if not knots:
         raise BraidError("--braids: no entry closes to a knot")

@@ -72,8 +72,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot
-from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
+from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt
+from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet, unit_normalize
 from .rmatrix import Trace, assemble_R, trace_product
 from .young import Hook, HookGraph
 
@@ -90,29 +90,6 @@ def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
     if rest or m < 1:
         raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
     return (-1 if (color.leg + mu.leg) % 2 else 1), m
-
-
-class NormalizationError(ArithmeticError):
-    """The assembled polynomial is not a unit multiple of a centered, monic-at-1 one."""
-
-
-def unit_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Multiply by the unit +-q^j giving a symmetric exponent range and value +1 at q=1."""
-    if p.is_zero():
-        raise NormalizationError("normalization: the polynomial is 0")
-    span = p.min_exp + p.degree()
-    if span % 2 != 0:
-        raise NormalizationError(
-            f"normalization: the exponent range of ({p.summary()}) cannot be centered")
-    centered = p.shift(-span // 2)
-    v = centered.at_one()
-    if v == 1:
-        return centered
-    if v == -1:
-        return -centered
-    value = v if abs(v).bit_length() <= 64 else f"a {abs(v).bit_length()}-bit integer"
-    raise NormalizationError(
-        f"normalization: the value at q=1 of ({p.summary()}) is {value}, not a unit")
 
 
 def _mirror(trace: Trace, k: int) -> Trace:
@@ -154,7 +131,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     q = 1 is +1 and it is invariant under q -> q^-1.
     """
     if not closure_is_knot(b):
-        raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
+        raise NotAKnotError(f"closure of {excerpt(str(b))} on {b.strands} strands is not a knot")
     m = b.strands
     graph = HookGraph(color, m)
     letters = set(b.letters)

@@ -14,24 +14,28 @@ loudly if the division is not exact; it runs on packed ints too.  `pack` and
 back (Kronecker substitution); the operator product runs on such packed ints
 and decodes its result once, each coefficient at its own size.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
-traces of its mirrored vertices.  `det` is the one determinant routine,
-Bareiss elimination over any ring with an exact division: the Burau oracle
-runs it on packed ints, the Schur oracle on `Fraction` values.
+traces of its mirrored vertices.  `unit_normalize` brings a result to the
+canonical form that both the evaluator and the Burau oracle return.  `det`
+is the one determinant routine, Bareiss elimination over any ring with an
+exact division: the Burau oracle runs it on packed ints, the Schur oracle on
+`Fraction` values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar
 
 
 class InexactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder (internal inconsistency)."""
 
 
-Scalar = Union[int, Fraction, float]
+class NormalizationError(ArithmeticError):
+    """The assembled polynomial is not a unit multiple of a centered, monic-at-1 one."""
+
+
 Ring = TypeVar("Ring")
 
 
@@ -233,16 +237,6 @@ class LaurentPoly:
             # terms[j] sits at exponent -(top - j * step), odd when top + j is odd
             terms = tuple([-c if (top + j) % 2 else c for j, c in enumerate(terms)])
         return _raw(-top, self.step, terms)
-
-    def evaluate(self, q: Scalar) -> Scalar:
-        """Evaluate at a nonzero number; exact when ``q`` is int or Fraction."""
-        if isinstance(q, int):
-            q = Fraction(q)
-        power = q ** self.step
-        acc = 0
-        for c in reversed(self.terms):
-            acc = acc * power + c
-        return acc * q ** self.min_exp
 
     def at_one(self) -> int:
         return sum(self.terms)
@@ -458,6 +452,25 @@ def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:
     return unpack(value, width, sum([p.min_exp * n for p, n in factors]), step)
 
 
+def unit_normalize(p: LaurentPoly) -> LaurentPoly:
+    """Multiply by the unit +-q^j giving a symmetric exponent range and value +1 at q=1."""
+    if p.is_zero():
+        raise NormalizationError("normalization: the polynomial is 0")
+    span = p.min_exp + p.degree()
+    if span % 2 != 0:
+        raise NormalizationError(
+            f"normalization: the exponent range of ({p.summary()}) cannot be centered")
+    centered = p.shift(-span // 2)
+    v = centered.at_one()
+    if v == 1:
+        return centered
+    if v == -1:
+        return -centered
+    value = v if abs(v).bit_length() <= 64 else f"a {abs(v).bit_length()}-bit integer"
+    raise NormalizationError(
+        f"normalization: the value at q=1 of ({p.summary()}) is {value}, not a unit")
+
+
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> InexactDivisionError:
     return InexactDivisionError(f"({num.summary()}) is not divisible by ({den.summary()})")
 
@@ -554,6 +567,7 @@ def det(mat: Sequence[Sequence[Ring]], divide: Callable[[Ring, Ring], Ring] = _e
 
     >>> det([[0, 2, 3], [4, 5, 6], [7, 8, 10]])
     -5
+    >>> from fractions import Fraction
     >>> det([[Fraction(1, 2), 1], [Fraction(1, 3), 2]], lambda x, y: x / y,
     ...     Fraction(0), Fraction(1))
     Fraction(2, 3)

@@ -3,9 +3,11 @@
 Used only to cross-validate the trace engine in the fundamental color.  The
 braid letters map to Laurent matrices in a variable t; the closure's
 Alexander polynomial is det(I - B(braid)) / (1 + t + ... + t^(m-1)), read in
-the engine's variable via t = q^2 and unit-normalized the same way.  Nothing
-here comes from the engine's kernel (`hookalex.rmatrix`): the packing and
-both width proofs below are the oracle's own.
+the engine's variable via t = q^2 and unit-normalized the same way.  It
+imports only `hookalex.braid` and `hookalex.laurent`, which import nothing
+else from the package, so nothing here comes from the engine's kernel
+(`hookalex.rmatrix`): the packing and both width proofs below are the
+oracle's own.
 
 Both the product and the determinant run on Python ints at t = 2^w
 (Kronecker substitution: evaluation is a ring homomorphism), and only the
@@ -54,9 +56,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot
-from .evaluator import unit_normalize
-from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unpack
+from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt
+from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unit_normalize, unpack
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
@@ -157,7 +158,7 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     'q^2 - 1 + q^-2'
     """
     if not closure_is_knot(b):
-        raise NotAKnotError(f"closure of '{b}' on {b.strands} strands is not a knot")
+        raise NotAKnotError(f"closure of {excerpt(str(b))} on {b.strands} strands is not a knot")
     cols, width, digits, nu = _packed_product(b)
     eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
     delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)

@@ -24,6 +24,13 @@ from .braid import BraidError
 # counts are refused up front, before any path basis is built.
 MAX_STRANDS = 10
 
+# The largest hook size N the engine evaluates.  The operators' exponents, and
+# with them the packed ints of every product, grow linearly in N: a random
+# 161-letter 4-strand knot takes 1.6 s at N = 100 and 15 s at N = 700 on one
+# Xeon core, and ten million boxes exhaust a 1 GB address space, so larger
+# hooks are refused up front, before any operator is built.
+MAX_HOOK_SIZE = 700
+
 
 class StrandBudgetError(BraidError):
     """A strand count above MAX_STRANDS, whose path bases are too large to evaluate.
@@ -43,6 +50,20 @@ def check_strands(m: int) -> None:
         raise StrandBudgetError(
             f"{m} strands is above the limit of {MAX_STRANDS}: the largest path basis "
             f"would hold {paths} paths")
+
+
+class HookBudgetError(BraidError):
+    """A hook size above MAX_HOOK_SIZE, whose operators are too large to evaluate.
+
+    Every evaluation and operator identity builds a :class:`HookGraph`, which
+    raises it through :func:`check_hook_size`.
+    """
+
+
+def check_hook_size(n: int) -> None:
+    """Raise :class:`HookBudgetError` if hook size ``n`` is above MAX_HOOK_SIZE."""
+    if n > MAX_HOOK_SIZE:
+        raise HookBudgetError(f"hook size {n} is above the limit of {MAX_HOOK_SIZE}")
 
 
 @dataclass(frozen=True, order=True)
@@ -159,7 +180,8 @@ class HookGraph:
     Level ``n`` (1-indexed) holds ``n`` vertices; vertex ``k`` is the hook
     ``(n*a + (n-1-k), n*l + k)``.  Vertex ``(n, k)`` connects upward to
     ``(n+1, k)`` (arm step) and ``(n+1, k+1)`` (leg step), so the edges never
-    need to be stored.
+    need to be stored.  A base hook above MAX_HOOK_SIZE raises
+    :class:`HookBudgetError`.
     """
 
     base: Hook
@@ -168,6 +190,7 @@ class HookGraph:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"graph needs at least one level, got {self.levels}")
+        check_hook_size(self.base.size)
 
     def vertex(self, n: int, k: int) -> Hook:
         if not 1 <= n <= self.levels:

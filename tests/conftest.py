@@ -34,6 +34,17 @@ SCHUR_POINTS = (
 )
 
 
+def evaluate(p: LaurentPoly, q):
+    """``p`` at a nonzero number ``q``; exact when ``q`` is an int or a Fraction."""
+    if isinstance(q, int):
+        q = Fraction(q)
+    power = q ** p.step
+    acc = 0
+    for c in reversed(p.terms):
+        acc = acc * power + c
+    return acc * q ** p.min_exp
+
+
 def same_ratio(x, y) -> bool:
     """Whether the ``(num, den)`` pairs ``x`` and ``y`` are the same fraction."""
     return x[0] * y[1] == y[0] * x[1]
@@ -188,7 +199,7 @@ def symmetric_operator_numeric(graph: HookGraph, target_k: int, i: int,
     mat = [[0.0] * len(op) for _ in op]
     singlets = [a for a, row in enumerate(op) if len(row) == 1]
     for a in singlets:  # an eigenvalue times den
-        mat[a][a] = float(op[a][a].evaluate(q)) / float(op.den.evaluate(q))
+        mat[a][a] = float(evaluate(op[a][a], q)) / float(evaluate(op.den, q))
     for a, b in [(a, b) for a, row in enumerate(op) for b in row if b > a]:
         bullet = _qnum_bullet_float(n, size, q)
         c = q ** k

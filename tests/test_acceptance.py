@@ -16,9 +16,9 @@ from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors
                             topological_power_sums)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
 
-from conftest import (SCHUR_POINTS, corpus_knots, markov_variants, random_knot_braids,
-                      ratio_closed_form, same_ratio, symmetric_operator_numeric,
-                      trace_product_numeric)
+from conftest import (SCHUR_POINTS, corpus_knots, evaluate, markov_variants,
+                      random_knot_braids, ratio_closed_form, same_ratio,
+                      symmetric_operator_numeric, trace_product_numeric)
 
 SCALING_HOOKS = (Hook(1, 0), Hook(0, 1), Hook(1, 1), Hook(2, 0),
                  Hook(2, 1), Hook(1, 2), Hook(2, 2))
@@ -147,7 +147,7 @@ def test_criterion_8_gauge_independence():
                 for k in range(3):
                     ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]
                     t = trace_product(ops)
-                    exact = float(t.num.evaluate(q) / t.den.evaluate(q))
+                    exact = float(evaluate(t.num, q) / evaluate(t.den, q))
                     mats = [symmetric_operator_numeric(graph, k, abs(g), float(q), g < 0)
                             for g in b.letters]
                     numeric = trace_product_numeric(mats)

@@ -1,12 +1,17 @@
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from hookalex.braid import BraidError
+from hookalex import rmatrix
+from hookalex.braid import BraidError, NotAKnotError, parse_braid
 from hookalex.cli import (DEFAULT_TABLE_BRAIDS, EXIT_CHECK_FAILED, EXIT_OK,
                           EXIT_USAGE, main, parse_table_braids)
+from hookalex.evaluator import alexander
 from hookalex.laurent import LaurentPoly
+from hookalex.oracle import burau_alexander
+from hookalex.young import MAX_HOOK_SIZE, Hook
 
 
 def run_cli(capsys, *argv):
@@ -112,7 +117,50 @@ def test_check_yb(capsys):
     code, out, _ = run_cli(capsys, "check-yb", "--strands", "3",
                            "--arm", "1", "--leg", "0")
     assert code == EXIT_OK
-    assert "PASS" in out
+    *checks, summary = out.splitlines()
+    # per vertex: 1 Yang-Baxter check and 4 transposition checks (2 crossings, 2 directions)
+    assert Counter(" ".join(line.split()[:2]) for line in checks) == \
+        {"ok yb": 3, "ok transpose": 12}
+    assert summary == "PASS  15 of 15 operator identities hold, hook (1,0) strands 3"
+
+
+def test_check_yb_counts_every_identity(capsys):
+    m = 5  # per vertex: 3 Yang-Baxter, 3 commutation and 8 transposition checks
+    code, out, _ = run_cli(capsys, "check-yb", "--strands", str(m), "--arm", "1", "--leg", "1")
+    assert code == EXIT_OK
+    *checks, summary = out.splitlines()
+    assert Counter(line.split()[1] for line in checks) == \
+        {"yb": 3 * m, "commute": 3 * m, "transpose": 8 * m}
+    assert summary.startswith("PASS  70 of 70 ")
+
+
+def test_check_yb_reports_a_failed_transposition(capsys, monkeypatch):
+    original = rmatrix.doublet_block
+
+    def flipped(h, n, inverse):  # one doublet sign of hook (1,0) is wrong
+        r11, r12, r21, r22 = original(h, n, inverse)
+        return (r11, r12, -r21 if h == Hook(1, 0) and n == 2 else r21, r22)
+
+    rmatrix.assemble_R.cache_clear()
+    monkeypatch.setattr(rmatrix, "doublet_block", flipped)
+    try:
+        code, out, _ = run_cli(capsys, "check-yb", "--strands", "3", "--arm", "1", "--leg", "0")
+    finally:
+        rmatrix.assemble_R.cache_clear()
+    assert code == EXIT_CHECK_FAILED
+    lines = out.splitlines()
+    assert "FAIL transpose i=2 target k=1 inverse=False" in lines
+    assert "FAIL transpose i=2 target k=1 inverse=True" in lines
+    assert "ok   transpose i=1 target k=1 inverse=False" in lines  # crossing 1 has no doublet
+    assert "FAIL yb i=1,2 target k=1 hook (1,0)" in lines  # r12 r21 enters Yang-Baxter too
+    assert lines[-1] == "FAIL  12 of 15 operator identities hold, hook (1,0) strands 3"
+
+
+def test_check_yb_on_too_few_strands_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check-yb", "--strands", "2", "--arm", "0", "--leg", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("usage error: --strands: ")
 
 
 def test_verify_oracle(capsys):
@@ -189,6 +237,54 @@ def test_oversized_strand_count_is_usage_error(capsys, argv):
     assert out == ""
     flag = "--braids" if argv[0] == "table" else "--strands"  # every error names its flag
     assert err.startswith(f"usage error: {flag}: ") and "strands" in err and "path basis" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--strands", "3", "--braid", "1 -2 1 -2", "--arm", "10000000", "--leg", "0"],
+     "--arm/--leg"),
+    (["eval", "--strands", "2", "--braid", "1 1 1", "--arm", "0", "--leg", str(MAX_HOOK_SIZE)],
+     "--arm/--leg"),
+    (["check-theorem", "--strands", "3", "--braid", "1 -2 1 -2", "--arm", "5000000",
+      "--leg", "5000000"], "--arm/--leg"),
+    (["check-yb", "--strands", "3", "--arm", "10000000", "--leg", "0"], "--arm/--leg"),
+    (["table", "--max-hook-size", "10000000"], "--max-hook-size"),
+    (["table", "--braids", "1 1 1@2", "--max-hook-size", str(MAX_HOOK_SIZE + 1)],
+     "--max-hook-size"),
+])
+def test_oversized_hook_is_usage_error(capsys, argv, flag):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"usage error: {flag}: hook size ")
+    assert f"above the limit of {MAX_HOOK_SIZE}" in err
+
+
+_LONG = "7" * 100_000  # one malformed 100 KB argument
+_LINK = " ".join(["1"] * 1000)  # a 1,000-letter braid whose closure is a link
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--strands", "2", "--braid", f"1 x{_LONG}", "--arm", "0", "--leg", "0"],
+    ["eval", "--strands", "2", "--braid", _LINK, "--arm", "0", "--leg", "0"],
+    ["verify-oracle", "--strands", "2", "--braid", _LINK],
+    ["table", "--braids", f"1 1 1@2;{_LONG}"],
+    ["table", "--braids", f"1 1 1@2;1 1 1@x{_LONG}"],
+    ["table", "--braids", f"1 1 1@2;1 x{_LONG}@2"],
+])
+def test_usage_errors_quote_a_bounded_excerpt(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: ") and len(err) < 300
+    assert "characters)" in err  # the excerpt names the length it cut
+
+
+@pytest.mark.parametrize("evaluate", [lambda b: alexander(Hook(0, 0), b), burau_alexander])
+def test_not_a_knot_message_is_bounded(evaluate):
+    with pytest.raises(NotAKnotError) as exc:
+        evaluate(parse_braid(_LINK, 2))
+    assert len(str(exc.value)) < 300 and "(1999 characters)" in str(exc.value)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,9 +5,9 @@ import pytest
 
 from hookalex.braid import NotAKnotError, closure_is_knot, parse_braid
 from hookalex.cli import main
-from hookalex.evaluator import (NormalizationError, alexander, check_scaling, hook_weight,
-                                unit_normalize)
-from hookalex.laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet
+from hookalex.evaluator import alexander, check_scaling, hook_weight
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, NormalizationError, exact_div,
+                              qnum_bullet, unit_normalize)
 from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.young import Hook, HookGraph, hooks_up_to_size

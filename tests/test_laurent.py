@@ -11,6 +11,8 @@ from hookalex import laurent
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, power_product,
                               qnum, qnum_bullet, unpack)
 
+from conftest import evaluate
+
 polys = st.builds(LaurentPoly, st.integers(-5, 5),
                   st.lists(st.integers(-9, 9), max_size=6))
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
@@ -176,7 +178,7 @@ def test_substitute_neg_inverse_respects_ring_operations(p, r):
 
 @given(strided, st.fractions(-4, 4, max_denominator=5).filter(bool))
 def test_substitute_neg_inverse_evaluates_at_minus_reciprocal(p, q):
-    assert p.substitute_neg_inverse().evaluate(q) == p.evaluate(-1 / q)
+    assert evaluate(p.substitute_neg_inverse(), q) == evaluate(p, -1 / q)
 
 
 @given(strided)
@@ -347,7 +349,7 @@ def test_strided_division_and_evaluation():
     with pytest.raises(InexactDivisionError):
         exact_div(num + LaurentPoly.one(), qnum_bullet(6, 3))
     q = Fraction(3, 2)
-    assert num.evaluate(q) == qnum_bullet(6, 3).evaluate(q) * qnum_bullet(2, 2).evaluate(q)
+    assert evaluate(num, q) == evaluate(qnum_bullet(6, 3), q) * evaluate(qnum_bullet(2, 2), q)
 
 
 # -- Kronecker packing ------------------------------------------------------------------
@@ -416,7 +418,7 @@ def test_pack_roundtrip(p, width):
 
 
 def test_evaluate_int_input_is_exact():
-    value = LaurentPoly(-2, (1, 0, -1, 0, 1)).evaluate(3)
+    value = evaluate(LaurentPoly(-2, (1, 0, -1, 0, 1)), 3)
     assert isinstance(value, Fraction) and value == Fraction(73, 9)
 
 

@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from hookalex.braid import BraidError
-from hookalex.young import (MAX_STRANDS, Hook, HookGraph, Partition, StrandBudgetError,
-                            enumerate_paths, hook_tensor_onehook, hooks_up_to_size,
-                            partitions_of)
+from hookalex.young import (MAX_HOOK_SIZE, MAX_STRANDS, Hook, HookBudgetError, HookGraph,
+                            Partition, StrandBudgetError, enumerate_paths, hook_tensor_onehook,
+                            hooks_up_to_size, partitions_of)
 
 
 # -- hooks and tensor rule -------------------------------------------------------
@@ -148,6 +148,15 @@ def test_strand_budget():
         enumerate_paths(HookGraph(Hook(0, 0), 10 ** 9), 0)
     for m in range(65, 300):  # the bound the message states for counts it does not compute
         assert comb(m - 1, (m - 1) // 2) > 2 ** (m - 1 - m.bit_length())
+
+
+def test_hook_budget():
+    assert MAX_HOOK_SIZE > 12  # every hook the tests evaluate stays below the limit
+    assert HookGraph(Hook(MAX_HOOK_SIZE - 1, 0), 3).base.size == MAX_HOOK_SIZE
+    for base in (Hook(MAX_HOOK_SIZE, 0), Hook(0, 10 ** 7), Hook(10 ** 9, 10 ** 9)):
+        with pytest.raises(HookBudgetError, match=f"hook size {base.size} is above the limit"):
+            HookGraph(base, 2)
+    assert issubclass(HookBudgetError, BraidError)
 
 
 def test_path_counts_pascal_recurrence():
