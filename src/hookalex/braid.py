@@ -8,11 +8,14 @@ rejected up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
-# The most characters of an input that an error message quotes.
+# The most characters of an input, and the most digits of an integer from
+# it, that an error message quotes.
 EXCERPT = 40
+INT_EXCERPT = 20
 
 
 def excerpt(text: str) -> str:
@@ -26,6 +29,28 @@ def excerpt(text: str) -> str:
     if len(text) <= EXCERPT:
         return repr(text)
     return f"{text[:EXCERPT]!r}... ({len(text)} characters)"
+
+
+def excerpt_int(n: int) -> str:
+    """``n`` for an error message; a longer one as its leading digits and its digit count.
+
+    No decimal string of the whole of ``n`` is built, so an integer past
+    Python's limit on converting ints to strings is rendered too.
+
+    >>> excerpt_int(-12345)
+    '-12345'
+    >>> excerpt_int(10 ** 5000)
+    '10000000000000000000... (5001 digits)'
+    """
+    mag = abs(n)
+    if mag < 10 ** INT_EXCERPT:
+        return str(n)
+    digits = int(math.log10(mag)) + 1  # the float log may be off by one either way
+    if mag < 10 ** (digits - 1):
+        digits -= 1
+    elif mag >= 10 ** digits:
+        digits += 1
+    return f"{'-' if n < 0 else ''}{mag // 10 ** (digits - INT_EXCERPT)}... ({digits} digits)"
 
 
 class BraidError(ValueError):
@@ -56,13 +81,14 @@ class BraidWord:
     def __post_init__(self):
         object.__setattr__(self, "letters", tuple(self.letters))
         if self.strands < 2:
-            raise BraidError(f"a braid needs at least 2 strands, got {self.strands}")
+            raise BraidError(f"a braid needs at least 2 strands, got {excerpt_int(self.strands)}")
         for g in self.letters:
             if g == 0:
                 raise ZeroLetterError("braid letter 0 is not a generator")
             if abs(g) >= self.strands:
                 raise GeneratorOutOfRangeError(
-                    f"generator {g} out of range for {self.strands} strands")
+                    f"generator {excerpt_int(g)} out of range for "
+                    f"{excerpt_int(self.strands)} strands")
 
     @property
     def writhe(self) -> int:
@@ -92,18 +118,19 @@ def render_braid(b: BraidWord) -> str:
     return " ".join(str(g) for g in b.letters)
 
 
-def closure_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Underlying strand permutation: image of strand i at position i (0-indexed)."""
+def closure_is_knot(b: BraidWord) -> bool:
+    """True iff the closure is a single component, i.e. the strand permutation is one m-cycle.
+
+    Each letter is a transposition, and an m-cycle is a product of at least
+    ``m - 1`` of them, so a braid of fewer letters closes to a link before
+    any slot per strand is allocated.
+    """
+    if len(b.letters) < b.strands - 1:
+        return False
     perm = list(range(b.strands))
     for g in b.letters:
         i = abs(g) - 1
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    return tuple(perm)
-
-
-def closure_is_knot(b: BraidWord) -> bool:
-    """True iff the closure is a single component, i.e. the permutation is one m-cycle."""
-    perm = closure_permutation(b)
     seen = 1
     j = perm[0]
     while j != 0:

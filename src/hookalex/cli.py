@@ -1,6 +1,7 @@
 """Command-line surface: evaluate, verify, and tabulate colored Alexander polynomials.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 internal inconsistency.
+Every usage error, argparse's own included, is one bounded ``usage error:`` line.
 """
 
 from __future__ import annotations
@@ -8,9 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .braid import BraidError, BraidWord, closure_is_knot, excerpt, parse_braid
+from .braid import BraidError, BraidWord, closure_is_knot, excerpt, excerpt_int, parse_braid
 from .evaluator import ScalingReport, alexander, check_scaling
 from .laurent import InexactDivisionError, NormalizationError
 from .oracle import burau_alexander
@@ -21,6 +22,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# The most characters of a usage error's message that are printed.
+MAX_MESSAGE = 200
+
+# The largest --max-hook-size of a table sweep.  The sweep evaluates
+# S(S+1)/2 hooks per knot, each costlier as S grows: on the default corpus
+# size 60 takes 4.9 s, size 110 takes 15 s and size 120 takes 21 s on one
+# Xeon core, so larger sweeps are refused before any record is printed.
+MAX_TABLE_HOOK_SIZE = 110
 
 # Default braid corpus for table mode: "letters@strands", knots only.
 DEFAULT_TABLE_BRAIDS = (
@@ -36,17 +46,35 @@ DEFAULT_TABLE_BRAIDS = (
 @dataclass
 class RunConfig:
     command: str
-    braid_text: str = ""
+    braid: str = ""
     strands: int = 2
     arm: int = 0
     leg: int = 0
     fmt: str = "text"
-    table_braids: tuple[str, ...] = field(default=DEFAULT_TABLE_BRAIDS)
+    table_braids: tuple[str, ...] = DEFAULT_TABLE_BRAIDS
     max_hook_size: int = 3
 
 
+def _usage_error(message: str) -> int:
+    if len(message) > MAX_MESSAGE:
+        message = f"{message[:MAX_MESSAGE]}... ({len(message)} characters)"
+    print(f"usage error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are bounded usage errors; its subparsers inherit it."""
+
+    def error(self, message: str):
+        raise SystemExit(_usage_error(message))
+
+
+def _split_entries(text: str) -> tuple[str, ...]:
+    return tuple([s for s in text.split(";") if s.strip()])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hookalex",
         description="Exact colored Alexander polynomials of knots from braid words.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_yb.add_argument("--leg", type=int, required=True)
 
     p_table = sub.add_parser("table", help="emit one JSON record per (braid, hook)")
-    p_table.add_argument("--braids", default=";".join(DEFAULT_TABLE_BRAIDS),
+    p_table.add_argument("--braids", dest="table_braids", type=_split_entries,
+                         default=DEFAULT_TABLE_BRAIDS,
                          help="semicolon-separated 'letters@strands' entries")
     p_table.add_argument("--max-hook-size", type=int, default=3)
 
@@ -83,18 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="compare the fundamental invariant with the Burau oracle")
     add_braid_flags(p_oracle, hook=False)
     return parser
-
-
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in ("strands", "arm", "leg", "fmt", "max_hook_size"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "braid"):
-        cfg.braid_text = ns.braid
-    if hasattr(ns, "braids"):
-        cfg.table_braids = tuple(s for s in ns.braids.split(";") if s.strip())
-    return cfg
 
 
 def _hook(cfg: RunConfig) -> Hook:
@@ -116,11 +133,11 @@ def _strands(cfg: RunConfig) -> None:
 def _braid(cfg: RunConfig) -> BraidWord:
     _strands(cfg)  # before the closure check allocates one slot per strand
     try:
-        b = parse_braid(cfg.braid_text, cfg.strands)
+        b = parse_braid(cfg.braid, cfg.strands)
     except BraidError as exc:
         raise BraidError(f"--braid: {exc}") from exc
     if not closure_is_knot(b):
-        raise BraidError(f"--braid: closure of {excerpt(cfg.braid_text)} is not a knot")
+        raise BraidError(f"--braid: closure of {excerpt(cfg.braid)} is not a knot")
     return b
 
 
@@ -214,12 +231,17 @@ def _run_check_yb(cfg: RunConfig, out) -> int:
 
 
 def _run_table(cfg: RunConfig, out) -> int:
-    if cfg.max_hook_size < 1:
-        raise BraidError(f"--max-hook-size: must be at least 1, got {cfg.max_hook_size}")
+    size = cfg.max_hook_size
+    if size < 1:
+        raise BraidError(f"--max-hook-size: must be at least 1, got {excerpt_int(size)}")
     try:
-        check_hook_size(cfg.max_hook_size)
+        check_hook_size(size)
     except BraidError as exc:
         raise BraidError(f"--max-hook-size: {exc}") from exc
+    if size > MAX_TABLE_HOOK_SIZE:
+        raise BraidError(f"--max-hook-size: a sweep up to size {size} is above the limit of "
+                         f"{MAX_TABLE_HOOK_SIZE}: it would evaluate {size * (size + 1) // 2} "
+                         f"hooks per knot")
     knots = [b for b in parse_table_braids(cfg.table_braids) if closure_is_knot(b)]
     if not knots:
         raise BraidError("--braids: no entry closes to a knot")
@@ -257,17 +279,14 @@ def run(cfg: RunConfig, out=None) -> int:
     try:
         return _RUNNERS[cfg.command](cfg, out)
     except BraidError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
     except (InexactDivisionError, NormalizationError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    return run(config_from_args(ns))
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt
+from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt, excerpt_int
 from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet, unit_normalize
 from .rmatrix import Trace, assemble_R, trace_product
 from .young import Hook, HookGraph
@@ -131,7 +131,8 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     q = 1 is +1 and it is invariant under q -> q^-1.
     """
     if not closure_is_knot(b):
-        raise NotAKnotError(f"closure of {excerpt(str(b))} on {b.strands} strands is not a knot")
+        raise NotAKnotError(
+            f"closure of {excerpt(str(b))} on {excerpt_int(b.strands)} strands is not a knot")
     m = b.strands
     graph = HookGraph(color, m)
     letters = set(b.letters)

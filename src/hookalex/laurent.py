@@ -92,8 +92,6 @@ class LaurentPoly:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Dense coefficients: ``coeffs[i]`` is the coefficient of ``q**(min_exp + i)``."""
-        if self.step == 1:
-            return self.terms
         return tuple(_spread(self.terms, self.step))
 
     def is_zero(self) -> bool:
@@ -157,12 +155,9 @@ class LaurentPoly:
             c = mono.terms[0]
             terms = p.terms if c == 1 else tuple([x * c for x in p.terms])
             return _raw(p.min_exp + mono.min_exp, p.step, terms)
-        if self.step == other.step:
-            step, a, b = self.step, self.terms, other.terms
-        else:
-            step = math.gcd(self.step, other.step)
-            a = _spread(self.terms, self.step // step)
-            b = _spread(other.terms, other.step // step)
+        step = math.gcd(self.step, other.step)
+        a = _spread(self.terms, self.step // step)
+        b = _spread(other.terms, other.step // step)
         out = [0] * (len(a) + len(b) - 1)
         for i, c in enumerate(a):
             if c:
@@ -175,7 +170,8 @@ class LaurentPoly:
     def __pow__(self, n: int) -> LaurentPoly:
         """``self**n``; a one-term base ``c q^e`` gives ``c**n q^(e n)`` in closed form.
 
-        A negative ``n`` needs a unit base ``+-q^e``.
+        A negative ``n`` needs a unit base ``+-q^e``; any other base is raised
+        by :func:`power_product`.
 
         >>> LaurentPoly.monomial(-1, 3) ** -3
         LaurentPoly('-q^-9')
@@ -184,14 +180,7 @@ class LaurentPoly:
             raise ValueError("negative power of a non-unit Laurent polynomial")
         if len(self.terms) == 1:  # closed form, so no product grows with n
             return _raw(self.min_exp * n, 1, (self.terms[0] ** abs(n),))
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power_product([(self, n)])
 
     # -- substitutions and evaluation ---------------------------------------
 
@@ -218,8 +207,8 @@ class LaurentPoly:
         """Substitute q -> -q**-1, the transposition symmetry of one-hook colors.
 
         The terms are reversed, and the term at an odd exponent changes sign:
-        all of them or none when ``step`` is even, every other one when it is
-        odd.  The result is again canonical.
+        reversed term ``j`` sits at ``-(top - j * step)``, odd when ``top + j *
+        step`` is.  The result is again canonical.
 
         >>> LaurentPoly(-1, (2, 3, 0, 5)).substitute_neg_inverse()
         LaurentPoly('-2q + 3 + 5q^-2')
@@ -228,15 +217,9 @@ class LaurentPoly:
         """
         if self.is_zero():
             return self
-        terms = self.terms[::-1]
-        top = self.degree()
-        if self.step % 2 == 0:
-            if top % 2:
-                terms = tuple([-c for c in terms])
-        else:
-            # terms[j] sits at exponent -(top - j * step), odd when top + j is odd
-            terms = tuple([-c if (top + j) % 2 else c for j, c in enumerate(terms)])
-        return _raw(-top, self.step, terms)
+        top, step = self.degree(), self.step
+        return _raw(-top, step, tuple([-c if (top + j * step) % 2 else c
+                                       for j, c in enumerate(self.terms[::-1])]))
 
     def at_one(self) -> int:
         return sum(self.terms)
@@ -421,8 +404,6 @@ def unpack(value: int, width: int, min_exp: int, step: int = 1) -> LaurentPoly:
     >>> unpack(3 - 2**8, 8, -1, 2)
     LaurentPoly('-q + 3q^-1')
     """
-    if not value:
-        return LaurentPoly.zero()
     size = width // 8
     count = abs(value).bit_length() // width + 1
     bias = _bias(size, count)
@@ -481,20 +462,20 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     Raises :class:`InexactDivisionError` when ``den`` does not divide ``num``
     over the integers; division by zero raises :class:`ZeroDivisionError`.
 
-    A divisor ``+-q**e`` is a shift.  Any other division runs on packed ints:
-    both operands are polynomials in ``q**g``, ``g`` the gcd of their steps,
-    up to a monomial, and so is the quotient.  Pack both at ``q**g = 2**W``,
-    with ``W`` the least width holding ``||num||_inf * ||den||_1``, and take
-    one ``divmod``.  If ``den`` divides ``num``, the packed ``den`` divides
-    the packed ``num`` (evaluation is a ring homomorphism), so a nonzero
-    remainder proves the division inexact.  Otherwise decode the integer
-    quotient: it is the value at ``2**W`` of the polynomial ``quo`` decoded
-    from it (:func:`unpack`).  If ``||den||_1 * ||quo||_inf < 2**(W - 1)``,
-    the coefficients of ``den * quo`` and of ``num`` are all below
-    ``2**(W - 1)`` in absolute value, and both take the same value at
-    ``2**W``; they are therefore the same balanced digits, and ``den * quo ==
-    num``.  A quotient that fails this check, which takes coefficients above
-    ``||num||_inf``, goes to the schoolbook loop, exact at any size.
+    The division runs on packed ints: both operands are polynomials in
+    ``q**g``, ``g`` the gcd of their steps, up to a monomial, and so is the
+    quotient.  Pack both at ``q**g = 2**W``, with ``W`` the least width
+    holding ``||num||_inf * ||den||_1``, and take one ``divmod``.  If ``den``
+    divides ``num``, the packed ``den`` divides the packed ``num``
+    (evaluation is a ring homomorphism), so a nonzero remainder proves the
+    division inexact.  Otherwise decode the integer quotient: it is the value
+    at ``2**W`` of the polynomial ``quo`` decoded from it (:func:`unpack`).
+    If ``||den||_1 * ||quo||_inf < 2**(W - 1)``, the coefficients of ``den *
+    quo`` and of ``num`` are all below ``2**(W - 1)`` in absolute value, and
+    both take the same value at ``2**W``; they are therefore the same
+    balanced digits, and ``den * quo == num``.  A quotient that fails this
+    check, which takes coefficients above ``||num||_inf``, goes to the
+    schoolbook loop, exact at any size.
 
     >>> exact_div(LaurentPoly(-3, (1, 0, 0, 0, 0, 0, 1)), qnum(2))
     LaurentPoly('q^2 - 1 + q^-2')
@@ -503,9 +484,6 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPoly.zero()
-    if len(den.terms) == 1 and den.terms[0] in (1, -1):
-        quo = num.shift(-den.min_exp)
-        return quo if den.terms[0] == 1 else -quo
     step = math.gcd(num.step, den.step)
     den_norm = sum(map(abs, den.terms))
     width = packing_width(max(map(abs, num.terms)) * den_norm)

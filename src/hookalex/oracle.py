@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt
+from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt, excerpt_int
 from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unit_normalize, unpack
 
 Matrix = tuple[tuple[LaurentPoly, ...], ...]
@@ -158,7 +158,8 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     'q^2 - 1 + q^-2'
     """
     if not closure_is_knot(b):
-        raise NotAKnotError(f"closure of {excerpt(str(b))} on {b.strands} strands is not a knot")
+        raise NotAKnotError(
+            f"closure of {excerpt(str(b))} on {excerpt_int(b.strands)} strands is not a knot")
     cols, width, digits, nu = _packed_product(b)
     eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
     delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)

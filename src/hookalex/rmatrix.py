@@ -57,8 +57,8 @@ What follows the product stays packed too.  The trace's denominator is the
 product of a few distinct bullet q-numbers, each raised to its count on one
 int packed in ``q^(2N)`` (:func:`hookalex.laurent.power_product`).  Every
 term of a trace lies in one class mod ``2N`` (proof in :func:`trace_product`),
-so its numerator is decoded at that grade, reading one digit in ``2N``, after
-one mask comparison has checked that the digits between are zero.
+so its numerator is decoded at that grade, reading one digit in ``2N``, and a
+decoded coefficient too wide for one digit reveals a nonzero digit between.
 """
 
 from __future__ import annotations
@@ -475,9 +475,21 @@ def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     would give ``k_i + k_j + 2nN = k_i + k_j``.  So every term is ``= sum
     over the letters of (k + nN)``, one class for the whole trace.
 
-    The grade is taken from the operators (:class:`BlockOperator`), and one
-    mask comparison checks the claim on every product: a nonzero digit off
-    the grade is an internal inconsistency.
+    The grade is taken from the operators (:class:`BlockOperator`), and the
+    claim is checked on every product: a nonzero digit off the grade is an
+    internal inconsistency.  From the lowest term up, the packed trace is
+    read at ``q**grade = 2**(grade * width)``.  Each wide digit ``D`` is a
+    group of ``grade`` balanced digits of ``width`` bits, ``D = sum_i d_i
+    2**(i * width)``, and the claim is that every ``d_i`` above ``d_0`` is
+    zero.  That holds exactly when ``-2**(width - 1) <= D < 2**(width - 1)``:
+    if the digits above are zero, ``D = d_0`` lies in that range; if the
+    highest nonzero one is ``d_j``, ``j >= 1``, the digits below it add up
+    to less than ``2**(j * width - 1)`` in absolute value, so ``|D| >
+    2**(j * width - 1) >= 2**(width - 1)``.  The width proof puts every
+    coefficient strictly inside that range, so a decoded coefficient with
+    ``bit_length() >= width`` is a digit off the grade.  At grade 1 this is
+    the plain decode, and the check fires only on what the width proof
+    excludes.
     """
     cols, width, neg, exps, den, grade = _packed_product(ops)
     base = min(exps)
@@ -485,24 +497,14 @@ def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     for c, (col, e) in enumerate(zip(cols, exps)):
         x = col[c] << (e - base) * width
         total = total - x if neg >> c & 1 else total + x
-    if not total or grade == 1:
-        return Trace(unpack(total, width, base), den)
     # drop the zero digits below the lowest term, whose lowest set bit lies in its own digit
-    low = ((total & -total).bit_length() - 1) // width
-    total >>= low * width
-    # each group of ``grade`` digits holds one coefficient, in its lowest digit:
-    # with 2**(width-1) added there, every digit above it must read zero
-    size = width // 8
-    groups = (abs(total).bit_length() // width) // grade + 1
-    gap = size * (grade - 1)
-    half = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(gap)) * groups, "little")
-    off = int.from_bytes((bytes(size) + b"\xff" * gap) * groups, "little")
-    if (total + half) & off:
+    low = ((total & -total).bit_length() - 1) // width if total else 0
+    num = unpack(total >> low * width, grade * width, base + low, grade)
+    if any(c.bit_length() >= width for c in num.terms):
         raise InexactDivisionError(
             f"trace of {len(ops)} operators on a path basis of {len(cols)}: a digit off "
             f"the q^{grade} grade is nonzero (width {width})")
-    # read at q**grade = 2**(grade * width), each wide digit is the coefficient alone
-    return Trace(unpack(total, grade * width, base + low, grade), den)
+    return Trace(num, den)
 
 
 def _same_quotient(ra: NumeratorRows, da: LaurentPoly,

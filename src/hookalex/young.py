@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .braid import BraidError
+from .braid import BraidError, excerpt_int
 
 # The most strands the engine evaluates.  Its cost grows as 2^(m-1), the size
 # of the path bases: the fundamental invariant of a random 33-letter 10-strand
@@ -46,10 +46,11 @@ def check_strands(m: int) -> None:
         # The count is exact while it is cheap; past that the bound
         # comb(n, n // 2) > 2^n / (n + 1) stands in: the binomial for three
         # million strands takes 86 s on one Xeon core.
-        paths = comb(m - 1, (m - 1) // 2) if m <= 64 else f"over 2^{m - 1 - m.bit_length()}"
+        paths = (comb(m - 1, (m - 1) // 2) if m <= 64
+                 else f"over 2^{excerpt_int(m - 1 - m.bit_length())}")
         raise StrandBudgetError(
-            f"{m} strands is above the limit of {MAX_STRANDS}: the largest path basis "
-            f"would hold {paths} paths")
+            f"{excerpt_int(m)} strands is above the limit of {MAX_STRANDS}: the largest "
+            f"path basis would hold {paths} paths")
 
 
 class HookBudgetError(BraidError):
@@ -63,7 +64,7 @@ class HookBudgetError(BraidError):
 def check_hook_size(n: int) -> None:
     """Raise :class:`HookBudgetError` if hook size ``n`` is above MAX_HOOK_SIZE."""
     if n > MAX_HOOK_SIZE:
-        raise HookBudgetError(f"hook size {n} is above the limit of {MAX_HOOK_SIZE}")
+        raise HookBudgetError(f"hook size {excerpt_int(n)} is above the limit of {MAX_HOOK_SIZE}")
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +76,8 @@ class Hook:
 
     def __post_init__(self):
         if self.arm < 0 or self.leg < 0:
-            raise ValueError(f"hook lengths must be nonnegative, got ({self.arm},{self.leg})")
+            raise ValueError(f"hook lengths must be nonnegative, "
+                             f"got ({excerpt_int(self.arm)},{excerpt_int(self.leg)})")
 
     @property
     def size(self) -> int:
@@ -189,7 +191,7 @@ class HookGraph:
 
     def __post_init__(self):
         if self.levels < 1:
-            raise ValueError(f"graph needs at least one level, got {self.levels}")
+            raise ValueError(f"graph needs at least one level, got {excerpt_int(self.levels)}")
         check_hook_size(self.base.size)
 
     def vertex(self, n: int, k: int) -> Hook:

@@ -1,13 +1,14 @@
 import json
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from hookalex import rmatrix
 from hookalex.braid import BraidError, NotAKnotError, parse_braid
-from hookalex.cli import (DEFAULT_TABLE_BRAIDS, EXIT_CHECK_FAILED, EXIT_OK,
-                          EXIT_USAGE, main, parse_table_braids)
+from hookalex.cli import (DEFAULT_TABLE_BRAIDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+                          MAX_TABLE_HOOK_SIZE, main, parse_table_braids)
 from hookalex.evaluator import alexander
 from hookalex.laurent import LaurentPoly
 from hookalex.oracle import burau_alexander
@@ -285,6 +286,74 @@ def test_not_a_knot_message_is_bounded(evaluate):
     with pytest.raises(NotAKnotError) as exc:
         evaluate(parse_braid(_LINK, 2))
     assert len(str(exc.value)) < 300 and "(1999 characters)" in str(exc.value)
+
+
+@pytest.mark.parametrize("evaluate", [lambda b: alexander(Hook(0, 0), b), burau_alexander])
+def test_a_short_braid_on_many_strands_is_refused_at_once(evaluate):
+    # fewer letters than strands - 1 cannot close to one cycle, so no slot per
+    # strand is allocated; checked on the memory at 10**6 strands first, so
+    # that a version allocating them fails there and not at 10**9
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAKnotError):
+            evaluate(parse_braid("1 2 3", 10 ** 6))
+        assert tracemalloc.get_traced_memory()[1] < 10 ** 6
+    finally:
+        tracemalloc.stop()
+    start = time.perf_counter()
+    with pytest.raises(NotAKnotError, match="on 1000000000 strands"):
+        evaluate(parse_braid("1 2 3", 10 ** 9))
+    assert time.perf_counter() - start < 1.0
+
+
+_HUGE = "9" * 4000  # a 4,000-digit integer, below Python's limit on parsing one
+_VALID_ARGV = [
+    ["eval", "--strands", "3", "--braid", "1 -2 1 -2", "--arm", "1", "--leg", "0",
+     "--format", "json"],
+    ["check-theorem", "--strands", "3", "--braid", "1 -2 1 -2", "--arm", "1", "--leg", "0",
+     "--format", "text"],
+    ["check-yb", "--strands", "3", "--arm", "0", "--leg", "0"],
+    ["table", "--braids", "1 1 1@2", "--max-hook-size", "1"],
+    ["verify-oracle", "--strands", "3", "--braid", "1 -2 1 -2"],
+]
+
+
+def _oversized_argvs():
+    for argv in _VALID_ARGV:
+        for i in range(0, len(argv), 2):  # the command, then each flag's value
+            for value in ("x" * 100_000, _HUGE, f"-{_HUGE}"):
+                name = argv[i - 1] if i else "command"
+                yield pytest.param(argv[:i] + [value] + argv[i + 1:],
+                                   id=f"{argv[0]}-{name}-{value[:2]}")
+    for entry in (f"1 1 1@{_HUGE}", f"1 1 1@-{_HUGE}", f"1 {_HUGE}@2"):
+        yield pytest.param(["table", "--braids", entry], id=f"table-entry-{entry[:8]}")
+
+
+@pytest.mark.parametrize("argv", _oversized_argvs())
+def test_every_usage_error_is_bounded(capsys, argv):
+    # argparse's own errors and every message quoting an integer from the input
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the argument itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("usage error: ") and len(captured.err) < 300
+
+
+def test_table_refuses_a_sweep_above_its_size_limit_before_any_record(capsys, monkeypatch):
+    # the sweep has S(S+1)/2 hooks per knot, so its size is bounded before it starts
+    def check_scaling(color, b):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("hookalex.cli.check_scaling", check_scaling)
+    assert MAX_TABLE_HOOK_SIZE >= 6  # the full sweep of the default corpus stays accepted
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--max-hook-size", str(MAX_TABLE_HOOK_SIZE + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("usage error: --max-hook-size: ") and len(err) < 300
+    assert f"above the limit of {MAX_TABLE_HOOK_SIZE}" in err
 
 
 @pytest.mark.parametrize("argv", [

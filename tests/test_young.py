@@ -5,8 +5,9 @@ import pytest
 
 from hookalex.braid import BraidError
 from hookalex.young import (MAX_HOOK_SIZE, MAX_STRANDS, Hook, HookBudgetError, HookGraph,
-                            Partition, StrandBudgetError, enumerate_paths, hook_tensor_onehook,
-                            hooks_up_to_size, partitions_of)
+                            Partition, StrandBudgetError, check_hook_size, check_strands,
+                            enumerate_paths, hook_tensor_onehook, hooks_up_to_size,
+                            partitions_of)
 
 
 # -- hooks and tensor rule -------------------------------------------------------
@@ -157,6 +158,19 @@ def test_hook_budget():
         with pytest.raises(HookBudgetError, match=f"hook size {base.size} is above the limit"):
             HookGraph(base, 2)
     assert issubclass(HookBudgetError, BraidError)
+
+
+@pytest.mark.parametrize("refuse,error", [
+    (check_strands, StrandBudgetError),
+    (check_hook_size, HookBudgetError),
+    (lambda n: Hook(-n, 0), ValueError),
+])
+def test_a_huge_integer_is_refused_with_a_bounded_message(refuse, error):
+    # past Python's 4,300-digit limit on int to str, so the message cannot print it whole
+    with pytest.raises(error) as exc:
+        refuse(10 ** 5000)
+    message = str(exc.value)
+    assert "(5001 digits)" in message and len(message) < 300
 
 
 def test_path_counts_pascal_recurrence():
