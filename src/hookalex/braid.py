@@ -137,3 +137,24 @@ def closure_is_knot(b: BraidWord) -> bool:
         j = perm[j]
         seen += 1
     return seen == b.strands
+
+
+def check_knot(b: BraidWord) -> None:
+    """Raise :class:`NotAKnotError` unless the closure of ``b`` is a knot.
+
+    The message quotes the word as :func:`excerpt` quotes its text, from the
+    letters in its first EXCERPT characters.  Each letter is rendered through
+    :func:`excerpt_int` and the word is never rendered whole, so a word with a
+    letter past Python's limit on converting ints to strings is quoted too.
+    """
+    if closure_is_knot(b):
+        return
+    head, size = [], -1
+    for g in b.letters:
+        text = excerpt_int(g)
+        if size < EXCERPT:
+            head.append(text)
+        size += 1 + len(text)
+    word = " ".join(head)
+    quoted = repr(word) if size <= EXCERPT else f"{word[:EXCERPT]!r}... ({size} characters)"
+    raise NotAKnotError(f"closure of {quoted} on {excerpt_int(b.strands)} strands is not a knot")

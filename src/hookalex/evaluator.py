@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt, excerpt_int
+from .braid import BraidWord, check_knot
 from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet, unit_normalize
 from .rmatrix import Trace, assemble_R, trace_product
 from .young import Hook, HookGraph
@@ -130,9 +130,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     Rejects braids whose closure is a link.  The result is exact; its value at
     q = 1 is +1 and it is invariant under q -> q^-1.
     """
-    if not closure_is_knot(b):
-        raise NotAKnotError(
-            f"closure of {excerpt(str(b))} on {excerpt_int(b.strands)} strands is not a knot")
+    check_knot(b)
     m = b.strands
     graph = HookGraph(color, m)
     letters = set(b.letters)

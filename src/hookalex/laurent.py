@@ -334,10 +334,8 @@ def qnum_bullet(n: int, base: int) -> LaurentPoly:
     """The q-number [n] with q replaced by q**base.
 
     Equals (q^(n*base) - q^(-n*base)) / (q^base - q^(-base)); ``base`` is the
-    box count of the hook coloring the strands.
+    box count of the hook coloring the strands, at least 1.
     """
-    if base < 1:
-        raise ValueError(f"substitution power must be >= 1, got {base}")
     return qnum(n).substitute_power(base)
 
 
@@ -358,11 +356,12 @@ def packing_width(bound: int) -> int:
 def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
     """The value of ``q**-p.min_exp * p`` at ``q**step = 2**width``.
 
-    ``width`` is a multiple of 8, and ``step`` divides every exponent gap of
-    ``p``.  Coefficients below ``2**(width - 1)`` in absolute value are laid
-    out as one biased digit of bytes each and read as one int, in time linear
-    in its size.  A larger coefficient carries into the digits above, so then
-    the terms are added up by shifts instead.
+    ``width`` is a multiple of 8, ``step`` divides every exponent gap of
+    ``p``, and every coefficient is below ``2**(width - 1)`` in absolute
+    value: each caller proves that its width holds them.  Each coefficient is
+    laid out as one biased digit of bytes and the digits are read as one int,
+    in time linear in its size.  A larger coefficient raises
+    :class:`OverflowError`.
 
     >>> pack(LaurentPoly(-1, (3, 0, -1)), 8) == 3 - 2**16
     True
@@ -371,13 +370,7 @@ def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
     """
     terms = _spread(p.terms, p.step // step) if len(p.terms) > 1 else p.terms
     size, half = width // 8, 1 << (width - 1)
-    try:
-        raw = b"".join([(c + half).to_bytes(size, "little") for c in terms])
-    except OverflowError:
-        acc = 0
-        for c in reversed(terms):
-            acc = (acc << width) + c
-        return acc
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in terms])
     return int.from_bytes(raw, "little") - _bias(size, len(terms))
 
 

@@ -56,10 +56,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .braid import BraidWord, NotAKnotError, closure_is_knot, excerpt, excerpt_int
+from .braid import BraidWord, check_knot
 from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unit_normalize, unpack
-
-Matrix = tuple[tuple[LaurentPoly, ...], ...]
 
 
 def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -133,11 +131,6 @@ def _decode(cols: Sequence[int], width: int, digits: int, nu: int) -> list[list[
     return out
 
 
-def burau_matrix(b: BraidWord) -> Matrix:
-    """The product of the letters' matrices, left to right."""
-    return tuple(zip(*_decode(*_packed_product(b))))
-
-
 def _hadamard_bound(cols: Sequence[Sequence[LaurentPoly]]) -> int:
     """A bound on every coefficient of ``det A``, from the entry 1-norms of ``A`` by column.
 
@@ -157,9 +150,7 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     >>> str(burau_alexander(parse_braid("1 1 1", 2)))
     'q^2 - 1 + q^-2'
     """
-    if not closure_is_knot(b):
-        raise NotAKnotError(
-            f"closure of {excerpt(str(b))} on {excerpt_int(b.strands)} strands is not a knot")
+    check_knot(b)
     cols, width, digits, nu = _packed_product(b)
     eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
     delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)

@@ -137,18 +137,6 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n``, largest part first."""
-    if n == 0:
-        yield Partition(())
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
-
-
 def hooks_up_to_size(max_size: int) -> Iterator[Hook]:
     """All hooks with at most ``max_size`` boxes, by size, then arm from the largest.
 
@@ -160,19 +148,6 @@ def hooks_up_to_size(max_size: int) -> Iterator[Hook]:
     for size in range(1, max_size + 1):
         for arm in range(size - 1, -1, -1):
             yield Hook(arm, size - 1 - arm)
-
-
-def hook_tensor_onehook(h1: Hook, h2: Hook) -> tuple[Hook, Hook]:
-    """One-hook part of the tensor product of two hooks.
-
-    Arms merge into the arm and legs into the leg; of the two corner boxes,
-    one stays put and the other lands in either the arm or the leg:
-
-    >>> hook_tensor_onehook(Hook(1, 1), Hook(1, 1))
-    (Hook(arm=3, leg=2), Hook(arm=2, leg=3))
-    """
-    a, l = h1.arm + h2.arm, h1.leg + h2.leg
-    return Hook(a + 1, l), Hook(a, l + 1)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,26 @@
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hookalex.braid import BraidWord, closure_is_knot, parse_braid
+from hookalex.braid import BraidWord, closure_is_knot
 from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
 from hookalex.evaluator import hook_weight
 from hookalex.laurent import LaurentPoly, qnum_bullet
 from hookalex.rmatrix import assemble_R, framing_exponent
-from hookalex.young import Hook, HookGraph
+from hookalex.young import Hook, HookGraph, Partition
+
+# The seeded knot words and the torus closed form are the benchmark's own.  Its
+# modules import nothing from hookalex; appending the checkout's root reaches
+# them as the namespace package ``perfbench`` without shadowing any module.
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+from perfbench import corpus, expected  # noqa: E402
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None,
@@ -32,6 +40,18 @@ SCHUR_POINTS = (
     (Fraction(3), Fraction(4, 3)),
     (Fraction(7, 4), Fraction(5, 2)),
 )
+
+
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+    """All partitions of ``n``, largest part first."""
+    if n == 0:
+        yield Partition(())
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield Partition((first,) + rest.parts)
 
 
 def evaluate(p: LaurentPoly, q):
@@ -113,71 +133,15 @@ def markov_variants(b: BraidWord, count: int = 5, seed: int = 0) -> MarkovVarian
     return MarkovVariants(tuple(conjugates), stabilize(b, 1), stabilize(b, -1))
 
 
-MAX_KNOT_ATTEMPTS = 10_000
-
-
 def random_knot(rng, strands, length):
-    """A random mixed-sign word of ``length`` letters whose closure is a knot.
-
-    A knot word has a letter count of the parity of ``strands - 1`` (each
-    letter is a transposition), so any other length is refused at once.
-    """
-    if length < strands - 1 or (length - strands + 1) % 2:
-        raise ValueError(f"no knot word of {length} letters on {strands} strands")
-    gens = [g for i in range(1, strands) for g in (i, -i)]
-    for _ in range(MAX_KNOT_ATTEMPTS):
-        b = parse_braid(" ".join(str(rng.choice(gens)) for _ in range(length)), strands)
-        if closure_is_knot(b):
-            return b
-    raise ValueError(f"no knot among {MAX_KNOT_ATTEMPTS} words of {length} letters "
-                     f"on {strands} strands")
-
-
-# -- torus knots: a closed form independent of the engine and the oracle ----------------------
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_div(num, den):
-    """Exact quotient of ascending integer coefficient lists, ``den`` monic."""
-    rem, quo = list(num), [0] * (len(num) - len(den) + 1)
-    for i in reversed(range(len(quo))):
-        quo[i] = rem[i + len(den) - 1]
-        for j, d in enumerate(den):
-            rem[i + j] -= quo[i] * d
-    assert not any(rem)
-    return quo
-
-
-def _t_power_minus_one(n):
-    return [-1] + [0] * (n - 1) + [1]
-
-
-def torus_closed_form(p, r, size):
-    """``(t^pr - 1)(t - 1) / ((t^p - 1)(t^r - 1))`` at ``t = q^(2 size)``, unit-normalized.
-
-    Returned as ``(min_exp, coeffs)`` with ``coeffs`` ascending from ``q^min_exp``.
-    """
-    delta = _poly_div(_poly_mul(_t_power_minus_one(p * r), _t_power_minus_one(1)),
-                      _poly_mul(_t_power_minus_one(p), _t_power_minus_one(r)))
-    while delta[-1] == 0:
-        delta.pop()
-    sign = 1 if sum(delta) > 0 else -1
-    assert sum(delta) == sign
-    step = 2 * size
-    coeffs = [0] * ((len(delta) - 1) * step + 1)
-    coeffs[::step] = [sign * c for c in delta]
-    return -((len(coeffs) - 1) // 2), coeffs
+    """The benchmark corpus's seeded knot word, :func:`corpus.random_knot_braid`, as a braid."""
+    return BraidWord(strands, corpus.random_knot_braid(rng, strands, length))
 
 
 def torus_braid(p, r):
-    """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r`` on ``p`` strands."""
-    return parse_braid(" ".join(str(i) for _ in range(r) for i in range(1, p)), p)
+    """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r``, the benchmark corpus's torus entry."""
+    entry = corpus.torus_entry(p, r)
+    return BraidWord(entry.strands, entry.letters)
 
 
 # -- the symmetric gauge in floats, to check that the rational gauge changes no trace ---------

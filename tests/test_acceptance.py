@@ -14,9 +14,9 @@ from hookalex.rmatrix import (assemble_R, commutation_holds, doublet_block,
                               hook_eigenvalues, trace_product, yang_baxter_holds)
 from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors,
                             topological_power_sums)
-from hookalex.young import Hook, HookGraph, hooks_up_to_size, partitions_of
+from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-from conftest import (SCHUR_POINTS, corpus_knots, evaluate, markov_variants,
+from conftest import (SCHUR_POINTS, corpus_knots, evaluate, markov_variants, partitions_of,
                       random_knot_braids, ratio_closed_form, same_ratio,
                       symmetric_operator_numeric, trace_product_numeric)
 

@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from hookalex import rmatrix
-from hookalex.braid import BraidError, NotAKnotError, parse_braid
+from hookalex.braid import BraidError, BraidWord, NotAKnotError, parse_braid
 from hookalex.cli import (DEFAULT_TABLE_BRAIDS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                           MAX_TABLE_HOOK_SIZE, main, parse_table_braids)
 from hookalex.evaluator import alexander
@@ -19,6 +23,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_module_runs_as_a_command_with_its_exit_codes():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "hookalex.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    proc = run_module("check-yb", "--strands", "3", "--arm", "0", "--leg", "0")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[-1] == \
+        "PASS  15 of 15 operator identities hold, hook (0,0) strands 3"
+    proc = run_module("table", "--max-hook-size", "0")
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("usage error: --max-hook-size: ")
+    assert "Traceback" not in proc.stderr
 
 
 # -- eval ---------------------------------------------------------------------
@@ -179,9 +202,10 @@ def test_table_emits_schema_records(capsys):
     assert code == EXIT_OK
     lines = out.strip().splitlines()
     # the two-crossing link is filtered; 3 hooks of size <= 2 remain
-    assert len(lines) == 3
-    for line in lines:
-        record = json.loads(line)
+    records = [json.loads(line) for line in lines]
+    assert [(r["braid"], r["arm"], r["leg"]) for r in records] == \
+        [("1 1 1", 0, 0), ("1 1 1", 1, 0), ("1 1 1", 0, 1)]
+    for record in records:
         assert set(record) == {"braid", "strands", "arm", "leg",
                                "alexander", "scaling_check"}
         assert record["scaling_check"] is True
@@ -207,7 +231,7 @@ def test_table_hook_size_below_one_is_usage_error(capsys, size):
     code, out, err = run_cli(capsys, "table", "--braids", "1 1 1@2", "--max-hook-size", size)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("usage error:") and "--max-hook-size" in err
+    assert err.startswith("usage error: --max-hook-size: ")
 
 
 @pytest.mark.parametrize("braids", ["1 1@2", "1 1@2;1 1 2 2@3", ""])
@@ -215,7 +239,7 @@ def test_table_without_a_knot_is_usage_error(capsys, braids):
     code, out, err = run_cli(capsys, "table", "--braids", braids)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("usage error: --braids:")
+    assert err.startswith("usage error: --braids: ")
 
 
 _WIDE_KNOT = " ".join(str(g) for g in range(1, 30))  # closes to a knot on 30 strands
@@ -237,7 +261,8 @@ def test_oversized_strand_count_is_usage_error(capsys, argv):
     assert code == EXIT_USAGE
     assert out == ""
     flag = "--braids" if argv[0] == "table" else "--strands"  # every error names its flag
-    assert err.startswith(f"usage error: {flag}: ") and "strands" in err and "path basis" in err
+    assert err.startswith(f"usage error: {flag}: ") and "path basis" in err
+    assert "strands is above the limit of 10: " in err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -283,9 +308,12 @@ def test_usage_errors_quote_a_bounded_excerpt(capsys, argv):
 
 @pytest.mark.parametrize("evaluate", [lambda b: alexander(Hook(0, 0), b), burau_alexander])
 def test_not_a_knot_message_is_bounded(evaluate):
-    with pytest.raises(NotAKnotError) as exc:
-        evaluate(parse_braid(_LINK, 2))
-    assert len(str(exc.value)) < 300 and "(1999 characters)" in str(exc.value)
+    # a letter of 4,401 digits is past Python's limit on converting ints to strings
+    for b, cut in ((parse_braid(_LINK, 2), "(1999 characters)"),
+                   (BraidWord(10 ** 5000, (10 ** 4400,)), "(4401 digits)")):
+        with pytest.raises(NotAKnotError) as exc:
+            evaluate(b)
+        assert len(str(exc.value)) < 300 and cut in str(exc.value)
 
 
 @pytest.mark.parametrize("evaluate", [lambda b: alexander(Hook(0, 0), b), burau_alexander])

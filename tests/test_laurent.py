@@ -382,7 +382,9 @@ def test_unpack_bound_is_tight():
     # one past the bound lands in the next digit: the bound in the docstring is exact
     width = 8
     p = LaurentPoly(0, (2 ** (width - 1), 1))
-    assert unpack(pack(p, width), width, 0) != p
+    assert unpack(2 ** (width - 1) + 2 ** width, width, 0) != p
+    with pytest.raises(OverflowError):  # and pack refuses the coefficient outright
+        pack(p, width)
 
 
 def test_unpack_allocates_coefficients_at_their_own_size():

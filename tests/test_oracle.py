@@ -9,11 +9,10 @@ import pytest
 from hookalex.braid import BraidWord, NotAKnotError, parse_braid
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, _exact_int_div, det, exact_div,
                               unit_normalize)
-from hookalex.oracle import (_column_bounds, _hadamard_bound, _letter_row, _packed_product,
-                             burau_alexander, burau_matrix)
+from hookalex.oracle import (_column_bounds, _decode, _hadamard_bound, _letter_row,
+                             _packed_product, burau_alexander)
 
-from conftest import (markov_variants, random_knot, random_knot_braids, torus_braid,
-                      torus_closed_form)
+from conftest import expected, markov_variants, random_knot, random_knot_braids, torus_braid
 
 _ZERO, _ONE = LaurentPoly.zero(), LaurentPoly.one()
 
@@ -42,6 +41,11 @@ def _dense_burau(b):
     for g in b.letters:
         product = _matmul(product, reduced_burau(g, b.strands))
     return product
+
+
+def burau_matrix(b):
+    """The oracle's product of the letters' matrices, left to right, decoded entry by entry."""
+    return tuple(zip(*_decode(*_packed_product(b))))
 
 
 def _seeded_knots(rng, strands, lengths):
@@ -224,8 +228,7 @@ def test_torus_knots_and_their_mirrors_match_closed_form(p):
     b = torus_braid(p, p + 1)
     mirror = BraidWord(p, tuple(-g for g in b.letters))
     for word in (b, mirror):  # the mirror has only negative letters: every t^-1 is a shift
-        poly = burau_alexander(word)
-        assert (poly.min_exp, list(poly.coeffs)) == torus_closed_form(p, p + 1, 1)
+        assert burau_alexander(word).to_json_dict() == expected.torus_alexander(p, p + 1)
 
 
 @pytest.mark.parametrize("k", [20, 40, 76])

@@ -6,11 +6,22 @@ import pytest
 from hookalex.braid import BraidError
 from hookalex.young import (MAX_HOOK_SIZE, MAX_STRANDS, Hook, HookBudgetError, HookGraph,
                             Partition, StrandBudgetError, check_hook_size, check_strands,
-                            enumerate_paths, hook_tensor_onehook, hooks_up_to_size,
-                            partitions_of)
+                            enumerate_paths, hooks_up_to_size)
+
+from conftest import partitions_of
 
 
 # -- hooks and tensor rule -------------------------------------------------------
+
+def hook_tensor_onehook(h1: Hook, h2: Hook) -> tuple[Hook, Hook]:
+    """One-hook part of the tensor product of two hooks.
+
+    Arms merge into the arm and legs into the leg; of the two corner boxes,
+    one stays put and the other lands in either the arm or the leg.
+    """
+    a, l = h1.arm + h2.arm, h1.leg + h2.leg
+    return Hook(a + 1, l), Hook(a, l + 1)
+
 
 def test_hook_basics():
     h = Hook(2, 1)
