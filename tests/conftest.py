@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,6 +144,15 @@ def torus_braid(p, r):
     """``T(p, r)`` as the closure of ``(s1 ... s(p-1))^r``, the benchmark corpus's torus entry."""
     entry = corpus.torus_entry(p, r)
     return BraidWord(entry.strands, entry.letters)
+
+
+def run_hookalex(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m hookalex.cli`` on ``argv`` in a subprocess, with this checkout's ``src``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hookalex.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # -- the symmetric gauge in floats, to check that the rational gauge changes no trace ---------

@@ -1,11 +1,7 @@
 import json
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +14,8 @@ from hookalex.laurent import LaurentPoly
 from hookalex.oracle import burau_alexander
 from hookalex.young import MAX_HOOK_SIZE, Hook
 
+from conftest import run_hookalex
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -26,19 +24,11 @@ def run_cli(capsys, *argv):
 
 
 def test_module_runs_as_a_command_with_its_exit_codes():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-
-    def run_module(*argv):
-        return subprocess.run([sys.executable, "-m", "hookalex.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-
-    proc = run_module("check-yb", "--strands", "3", "--arm", "0", "--leg", "0")
+    proc = run_hookalex("check-yb", "--strands", "3", "--arm", "0", "--leg", "0")
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[-1] == \
         "PASS  15 of 15 operator identities hold, hook (0,0) strands 3"
-    proc = run_module("table", "--max-hook-size", "0")
+    proc = run_hookalex("table", "--max-hook-size", "0")
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert proc.stderr.startswith("usage error: --max-hook-size: ")
     assert "Traceback" not in proc.stderr

@@ -12,7 +12,7 @@ from hookalex.oracle import burau_alexander
 from hookalex.rmatrix import assemble_R, framing_factor, trace_product
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-from conftest import expected, random_knot, torus_braid
+from conftest import expected, markov_variants, random_knot, torus_braid
 
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
@@ -55,6 +55,11 @@ def test_normalization_absorbs_every_unit(knots, hook):
 
 
 # -- reference values -----------------------------------------------------------------
+
+def test_unknot_is_one():
+    for text in ("1", "-1"):
+        assert alexander(Hook(0, 0), parse_braid(text, 2)).polynomial == LaurentPoly.one()
+
 
 def test_trefoil_fundamental():
     assert alexander(Hook(0, 0), TREFOIL).polynomial == LaurentPoly(-2, (1, 0, -1, 0, 1))
@@ -346,6 +351,16 @@ def test_deep_random_knot_matches_oracle():
     reference = burau_alexander(b)
     assert alexander(Hook(0, 0), b).polynomial == reference
     assert alexander(Hook(2, 1), b).polynomial == reference.substitute_power(4)
+
+
+# -- topological invariance ---------------------------------------------------------------------
+
+def test_markov_invariance_spot_check():
+    for h in (Hook(0, 0), Hook(1, 1)):
+        reference = alexander(h, FIGURE8).polynomial
+        mv = markov_variants(FIGURE8, count=3, seed=5)
+        for variant in mv.conjugates + (mv.stabilized_pos, mv.stabilized_neg):
+            assert alexander(h, variant).polynomial == reference
 
 
 # -- the Burau oracle ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
 from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet
-from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R, doublet_block,
-                              framing_factor, hook_eigenvalues, product_numerators,
-                              trace_product, transpose_holds)
+from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
+                              commutation_holds, doublet_block,
+                              framing_factor, hook_eigenvalues,
+                              product_numerators, trace_product,
+                              transpose_holds, yang_baxter_holds)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
+
+from conftest import evaluate, symmetric_operator_numeric, trace_product_numeric
 
 mono = LaurentPoly.monomial
 
@@ -64,6 +69,18 @@ def test_first_doublet_odd_leg():
 def test_doublet_rejects_level_one():
     with pytest.raises(ValueError):
         doublet_block(Hook(0, 0), 1, False)
+
+
+@pytest.mark.parametrize("h", [Hook(0, 0), Hook(2, 0), Hook(1, 2)])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_doublet_eigenvalue_constraints(h, n):
+    # trace and determinant force the eigenvalue set {arm, leg}
+    r11, r12, r21, r22 = doublet_block(h, n, False)
+    bullet = qnum_bullet(n, h.size)
+    arm, leg = hook_eigenvalues(h)
+    assert r11 + r22 == (arm + leg) * bullet
+    assert r11 * r22 - r12 * r21 == arm * leg * bullet * bullet
+    assert r11 * r11 + r22 * r22 + 2 * r12 * r21 == (arm * arm + leg * leg) * bullet * bullet
 
 
 # -- operator assembly ----------------------------------------------------------------
@@ -466,6 +483,19 @@ def test_plan_width_memo_is_bounded():
 
 # -- operator identities --------------------------------------------------------------------
 
+def test_yang_baxter_spot_checks():
+    for h in (Hook(0, 0), Hook(1, 1), Hook(2, 1)):
+        g = HookGraph(h, 3)
+        for k in range(3):
+            assert yang_baxter_holds(g, k, 1)
+
+
+def test_far_commutativity_spot_check():
+    g = HookGraph(Hook(1, 0), 4)
+    for k in range(4):
+        assert commutation_holds(g, k, 1, 3)
+
+
 def test_transposition_identity_holds():
     # hooks up to size 4 include every transpose; 2,240 checks in all
     for h in hooks_up_to_size(4):
@@ -506,3 +536,16 @@ def test_inverse_gives_identity():
             for r, row in enumerate(rows):
                 for c in set(row) | {r}:
                     assert row.get(c, zero) == (den if c == r else zero)
+
+
+def test_rational_gauge_matches_symmetric_floats():
+    # one spot check; the acceptance suite sweeps the corpus
+    g = HookGraph(Hook(1, 0), 3)
+    letters = [1, -2, 1, -2]
+    q = Fraction(3, 2)
+    for k in range(3):
+        ops = [assemble_R(g, k, abs(l), l < 0) for l in letters]
+        t = trace_product(ops)
+        exact = float(evaluate(t.num, q) / evaluate(t.den, q))
+        mats = [symmetric_operator_numeric(g, k, abs(l), float(q), l < 0) for l in letters]
+        assert abs(exact - trace_product_numeric(mats)) <= 1e-9 * max(1.0, abs(exact))

@@ -14,7 +14,7 @@ from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors
                             topological_power_sums, PowerSumSpec)
 from hookalex.young import Hook, Partition, hooks_up_to_size
 
-from conftest import partitions_of, same_ratio
+from conftest import SCHUR_POINTS, partitions_of, ratio_closed_form, same_ratio
 
 
 # -- factor lists ---------------------------------------------------------------
@@ -64,6 +64,22 @@ def test_ratio_rejects_size_mismatch():
         ratio_at_A1(Hook(1, 0), Partition((3,)))
 
 
+def test_ratio_matches_closed_form():
+    # every one-hook case with m * size <= 12
+    for color in hooks_up_to_size(12):
+        for total in range(color.size, 13, color.size):
+            for mu in (h for h in hooks_up_to_size(total) if h.size == total):
+                got = ratio_at_A1(color, mu.as_partition())
+                assert same_ratio(got, ratio_closed_form(color, mu)), (color, mu)
+
+
+def test_fat_hooks_all_vanish():
+    for n in range(2, 9):
+        for mu in partitions_of(n):
+            if mu.diagonal_length > 1:
+                assert ratio_at_A1(Hook(0, 0), mu)[0].is_zero()
+
+
 # -- Jacobi-Trudi oracle -------------------------------------------------------------
 
 def _generic_spec() -> PowerSumSpec:
@@ -81,6 +97,16 @@ def test_jacobi_trudi_two_boxes():
     p1, p2 = spec.p(1), spec.p(2)
     assert jacobi_trudi_schur(Partition((2,)), spec) == (p1 * p1 + p2) / 2
     assert jacobi_trudi_schur(Partition((1, 1)), spec) == (p1 * p1 - p2) / 2
+
+
+def test_jacobi_trudi_matches_factor_products():
+    for a, q in SCHUR_POINTS[:2]:
+        for n in range(1, 6):
+            spec = topological_power_sums(a, q, n)
+            for nu in partitions_of(n):
+                oracle = jacobi_trudi_schur(nu, spec)
+                direct = topological_factors(nu).evaluate(a, q)
+                assert oracle == direct, (a, q, nu)
 
 
 def test_power_sum_spec_bounds():

@@ -3,23 +3,9 @@
 nothing or exceed the strand limit. The case ids keep the names of the sweep
 files that these commands replaced."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_hookalex(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "hookalex.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+from conftest import run_hookalex
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -51,16 +37,3 @@ def test_sweep_above_strand_limit_is_usage_error(argv, flag):
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"{flag}: 11 strands is above the limit of 10" in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-def test_smallest_sweeps_run():
-    proc = run_hookalex("check-yb", "--strands", "3", "--arm", "0", "--leg", "0")
-    # 3 Yang-Baxter checks, and 12 transposition checks (3 vertices, 2 crossings, 2 directions)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == \
-        "PASS  15 of 15 operator identities hold, hook (0,0) strands 3"
-    proc = run_hookalex("table", "--max-hook-size", "1", "--braids", "1 1 1@2")
-    assert proc.returncode == 0
-    [record] = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert (record["braid"], record["arm"], record["leg"]) == ("1 1 1", 0, 0)
-    assert record["scaling_check"] is True
