@@ -44,9 +44,12 @@ column sums of entry 1-norms carried through the product bound every
 coefficient (see ``_packed_product``).  Each column of the running product
 carries a pending signed monomial beside its ints.  A crossing without a
 doublet acts by its eigenvalues alone, so its operator only updates those
-factors and leaves the ints as they are; the decoding applies them.  Since a
-factor moves a stored polynomial by a signed power of q only, the width proof
-does not change.  Each operator is built once, by :func:`assemble_R`, as a
+factors and leaves the ints as they are; the decoding applies them.  An
+operator with a doublet starts each new column from its term of least
+exponent, and a +-1 such term costs no pass: the new column reuses that
+column's ints and carries the term's sign in its factor.  Since a factor
+moves a stored polynomial by a signed power of q only, the width proof does
+not change.  Each operator is built once, by :func:`assemble_R`, as a
 :class:`BlockOperator`: its numerator rows, the entry norms the width bound
 needs, and either its diagonal signs and exponents or, for an operator with
 a doublet, its packed terms memoized for at most ``PLAN_WIDTHS`` widths.
@@ -266,15 +269,20 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 # eigenvalue +-q^e, so it only multiplies the factors and touches no big int:
 # the columns keep their very lists.  Such operators are letter 1 at every
 # vertex and every letter at the two end vertices.  An operator with a
-# doublet rebuilds every column in one pass per term.  A term is a
-# multiplier times q^e times a column of P, whose factor's sign goes into
-# the multiplier.  The terms' combined exponents (e plus the factor's) are
-# taken relative to their least one, the new column's factor, so every shift
-# is nonnegative.  A +-1 multiplier (r11, r21, r22, and each term of a
-# spread q-number) acts as a signed shift.  An entry with few terms spread
-# over many bits acts as one signed shift per term, since a shift-and-add
-# pass costs one pass over the running entry and a multiplication costs one
-# pass per machine digit of the multiplier.  The denominator is not carried
+# doublet rebuilds every column in one pass per term after a +-1 lead.  A
+# term is a multiplier times q^e times a column of P, whose factor's sign
+# goes into the multiplier.  The terms' combined exponents (e plus the
+# factor's) are taken relative to their least one, the new column's
+# factor, so every shift is nonnegative.  The term of least exponent leads:
+# if its multiplier is +-1, the new column is that column of P, the very
+# list, and the multiplier's sign goes into the new factor, so each later
+# term is added times that sign.  No pass changes a list in place, so a
+# list may be shared by columns of several products.  Any other lead costs
+# one multiplying pass.  A later +-1 multiplier (r11, r21, r22, and each
+# term of a spread q-number) acts as a signed shift.  An entry with few
+# terms spread over many bits acts as one signed shift per term, since a
+# shift-and-add pass costs one pass over the running entry and a
+# multiplication costs one pass per machine digit of the multiplier.  The denominator is not carried
 # through the loop: the product counts each distinct den object and raises
 # it to its count once, at the end.
 #
@@ -308,43 +316,42 @@ def _terms(p: LaurentPoly, width: int) -> list[tuple[int, int]]:
 
 
 def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
-           width: int) -> tuple[list[list[int]], list[int]]:
-    """The columns of P * B and their exponents, P given by ``cols``, ``neg`` and ``exps``.
+           width: int) -> tuple[list[list[int]], list[int], int]:
+    """The columns of P * B, their exponents and signs, P given by ``cols``, ``exps`` and ``neg``.
 
     Column c of the result sums ``m * q**e`` times column ``k`` of P, its
     factor included, over the terms (k, m, e) of B's column c.  The terms are
     shifted over their least combined exponent, which becomes the new
-    column's, with sign +1.
+    column's.  The new column starts from that term: a +-1 one is its column
+    of P, the very list, and its sign becomes bit ``c`` of the returned mask,
+    so every later term is added with its multiplier times that sign.
     """
     out: list[list[int]] = []
     out_exps: list[int] = []
+    out_neg = 0
     it = iter(terms)
-    for n in it:
+    for c, n in enumerate(it):
         # A singlet over den or a doublet column is read term by term: on short
-        # products, zip, islice and a second list cost more than the passes.
+        # products, zip, islice and a comprehension cost more than the passes.
         if n <= 2:
             k, m, e = next(it), next(it), next(it)
-            found = [(k, -m if neg >> k & 1 else m, exps[k] + e)]
-            base = found[0][2]
-            if n == 2:
+            found = [(exps[k] + e, -m if neg >> k & 1 else m, k)]
+            if n == 2:  # the second term goes first if its exponent is less
                 k, m, e = next(it), next(it), next(it)
-                found.append((k, -m if neg >> k & 1 else m, exps[k] + e))
-                base = min(base, exps[k] + e)
+                e += exps[k]
+                found.insert(e >= found[0][0], (e, -m if neg >> k & 1 else m, k))
         else:
-            found = [(k, -m if neg >> k & 1 else m, exps[k] + e)
-                     for k, m, e in islice(zip(it, it, it), n)]
-            base = min([e for _, _, e in found])
-        acc = None
-        for k, m, e in found:
-            src, shift = cols[k], (e - base) * width
-            if acc is None:
-                if m == 1:
-                    acc = [x << shift for x in src]
-                elif m == -1:
-                    acc = [-x << shift for x in src]
-                else:
-                    acc = [x * m << shift for x in src]
-            elif m == 1:
+            found = sorted([(exps[k] + e, -m if neg >> k & 1 else m, k)
+                            for k, m, e in islice(zip(it, it, it), n)])
+        (base, lead, k), *rest = found
+        if lead == 1 or lead == -1:  # no pass: the column of P itself, its sign in the factor
+            acc = cols[k]
+            out_neg |= (lead < 0) << c
+        else:
+            acc, lead = [x * lead for x in cols[k]], 1
+        for e, m, k in rest:
+            src, shift, m = cols[k], (e - base) * width, m * lead
+            if m == 1:
                 acc = [a + (x << shift) for a, x in zip(acc, src)]
             elif m == -1:
                 acc = [a - (x << shift) for a, x in zip(acc, src)]
@@ -352,7 +359,7 @@ def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
                 acc = [a + (x * m << shift) for a, x in zip(acc, src)]
         out.append(acc)
         out_exps.append(base)
-    return out, out_exps
+    return out, out_exps, out_neg
 
 
 def _column_bound(ops: Sequence[BlockOperator]) -> int:
@@ -363,6 +370,8 @@ def _column_bound(ops: Sequence[BlockOperator]) -> int:
     """
     u = [1] * len(ops[0])
     for op in ops:
+        if op.exps is not None:  # diagonal, every entry a signed monomial: u is unchanged
+            continue
         nxt = [0] * len(u)
         it = iter(op.col_norms)
         for c, r, n in zip(it, it, it):
@@ -389,14 +398,15 @@ def _packed_product(ops: Sequence[BlockOperator]
     identity.  Since ``(PB)_rc = sum_j P_rj B_jc``, summing over ``r`` gives
     ``sum_r ||(PB)_rc||_1 <= sum_j u_j ||B_jc||_1``, the next ``u_c``.  So
     each entry of column ``c`` is bounded by ``u_c``, and the trace, one
-    entry per column, by ``sum_c u_c``.  A product of diagonal operators,
-    whose entries are signed monomials, keeps ``u`` all ones, so its bound
-    is ``dim`` with no pass over the operators.  ``width`` is the least
-    multiple of 8 with ``2**(width - 1)`` above the bound, which is what
-    makes :func:`hookalex.laurent.unpack` exact.  The pending factors change
-    none of this: a stored column is its entries' polynomials times a signed
-    power of q, with the same coefficients, and the trace decoded is the
-    same polynomial.
+    entry per column, by ``sum_c u_c``.  A diagonal operator, whose entries
+    are signed monomials, leaves ``u`` as it is, so ``_column_bound`` skips
+    it, and a product of diagonal operators has the bound ``dim``.
+    ``width`` is the least multiple of 8 with ``2**(width - 1)`` above the
+    bound, which is what makes :func:`hookalex.laurent.unpack` exact.  The pending factors change
+    none of this, nor does a column that reuses its lead term's ints: a
+    stored column is its entries' polynomials times a signed power of q,
+    with the same coefficients, and the trace decoded is the same
+    polynomial.
 
     The denominator is computed by factors: each distinct ``den`` object
     (operators repeat, so few do) is raised to its count by
@@ -410,8 +420,7 @@ def _packed_product(ops: Sequence[BlockOperator]
         raise ValueError(f"operators act on different path bases: dims {sorted(dims)}")
     dim = len(ops[0])
     ops = [op.numerator_rows() for op in ops]
-    diagonal = all(op.exps is not None for op in ops)
-    width = packing_width(dim if diagonal else _column_bound(ops))
+    width = packing_width(_column_bound(ops))
 
     cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
     neg, exps = 0, [0] * dim
@@ -421,8 +430,7 @@ def _packed_product(ops: Sequence[BlockOperator]
             neg ^= op.neg
             exps = [a + b for a, b in zip(exps, op.exps)]
         else:
-            cols, exps = _apply(cols, neg, exps, op.packed(width), width)
-            neg = 0
+            cols, exps, neg = _apply(cols, neg, exps, op.packed(width), width)
             found = dens.get(id(op.den))
             if found is None:
                 dens[id(op.den)] = [op.den, 1]

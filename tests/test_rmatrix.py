@@ -8,7 +8,7 @@ import pytest
 
 from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
-from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet
+from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet, unpack
 from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
                               commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
@@ -223,6 +223,11 @@ def _scalar_width(ops):
 def test_column_bound_bounds_every_coefficient():
     for ops in itertools.chain(_seeded_products(), _deep_products()):
         bound = rmatrix._column_bound([op.numerator_rows() for op in ops])
+        u = [1] * len(ops[0])
+        for op in ops:  # diagonal operators included, which _column_bound skips
+            u = [sum(u[r] * _norm(row[c]) for r, row in enumerate(op) if c in row)
+                 for c in range(len(u))]
+        assert bound == sum(u)
         dense, _ = _dense_product(ops)
         largest = max(abs(c) for row in dense for p in row for c in p.coeffs)
         assert largest <= bound
@@ -283,6 +288,57 @@ def test_stacked_pending_factors_match_dense_product():
                 assert den == dense_den
                 assert [[row.get(c, zero) for c in range(len(rows))] for row in rows] == dense
                 assert tuple(trace_product(ops)) == _dense_trace(ops)
+
+
+def test_a_unit_lead_term_reuses_its_column_and_carries_its_sign():
+    # Each new column starts from its term of least combined exponent.  A +-1
+    # one is its column of P, the very list, with the term's sign in the new
+    # column's bit of the mask; any other lead takes a pass into a new list.
+    # The later terms of a column add into a new list, so the reuse shows on
+    # the leads alone.  At width 104 the off-diagonal q-number of this doublet
+    # spreads into +-1 terms and the singlets' [2] does not.
+    g, width, zero = HookGraph(Hook(0, 0), 4), 104, LaurentPoly.zero()
+    op = assemble_R(g, 1, 2)
+    dim, rng, leads = len(op), random.Random(7), Counter()
+    terms, it = [], iter(op.packed(width))
+    for n in it:
+        terms.append([(next(it), next(it), next(it)) for _ in range(n)])
+
+    def true(columns, mask, exps):
+        return [[(-1 if mask >> c & 1 else 1) * unpack(columns[c][r], width, exps[c])
+                 for c in range(dim)] for r in range(dim)]
+
+    for neg in range(1 << dim):
+        for exps in ([3, 0, 1], [0, 4, -1], [-2, 1, 5]):
+            cols = [[pack(LaurentPoly(0, tuple(rng.randint(-5, 5) for _ in range(4))), width)
+                     for _ in range(dim)] for _ in range(dim)]
+            out, out_exps, out_neg = rmatrix._apply(cols, neg, exps, op.packed(width), width)
+            p = true(cols, neg, exps)
+            assert true(out, out_neg, out_exps) == [
+                [sum((p[r][k] * op[k][c] for k in range(dim) if c in op[k]), zero)
+                 for c in range(dim)] for r in range(dim)]
+            # each column's lead term alone: the column of P it names, or a new list
+            lead_terms, reused = [], []
+            for c, col in enumerate(terms):
+                found = sorted((exps[k] + e, -m if neg >> k & 1 else m, k, m, e)
+                               for k, m, e in col)
+                assert found[1:] == [] or found[0][0] < found[1][0]  # one lead
+                base, lead, k, m, e = found[0]
+                assert out_exps[c] == base and out_neg >> c & 1 == (lead == -1)
+                lead_terms += (1, k, m, e)
+                reused.append((k, lead in (1, -1)))
+                leads[lead if lead in (1, -1) else 0] += 1
+            alone, _, alone_neg = rmatrix._apply(cols, neg, exps, tuple(lead_terms), width)
+            assert alone_neg == out_neg
+            for col, (k, unit) in zip(alone, reused):
+                assert col is cols[k] if unit else all(col is not src for src in cols)
+    assert leads[1] and leads[-1] and leads[0]
+    for k in range(g.levels):
+        ops = [assemble_R(g, k, abs(x), x < 0) for x in (1, 2, -1, 2, 3, -1, -2, 1, 2, -3)]
+        rows, den = product_numerators(ops)
+        dense, dense_den = _dense_product(ops)
+        assert den == dense_den
+        assert [[row.get(c, zero) for c in range(len(rows))] for row in rows] == dense
 
 
 def test_every_trace_lies_in_one_class_mod_2n():
