@@ -8,7 +8,10 @@ assembled as
 
 with ``phi`` the per-crossing framing factor, ``+-1 / [m]_N`` the closed-form
 quantum-dimension weight (:func:`hook_weight`) and ``[i]_N`` the q-number at
-q -> q^N.  Each vertex's operators are assembled once per distinct letter.
+q -> q^N.  What depends only on the color and the strand count is built once
+into a vertex plan, kept for at most ``PLAN_CACHE_SIZE`` pairs: the graph,
+each vertex's hook and weight sign, and its operators, each assembled when an
+evaluation first needs its letter and then reused by every later braid.
 The kernel returns each trace as an integer numerator over its own
 denominator, the product of the operators' ``den``: ``[|g|]_N`` for a letter
 whose operator has a doublet, else 1.  Every letter with ``|g| >= 2`` has a
@@ -18,10 +21,12 @@ at the two end vertices, so every interior vertex has the same denominator
 vertex has 1.  An end vertex's numerator is lifted to the common denominator
 by multiplying by it, no other numerator needs lifting, and the terms are
 added as integer Laurent polynomials; a single exact division by ``[m]_N``
-times the common denominator finishes the sum.  It always divides out to an
-integer Laurent polynomial; any other vertex denominator, or a failure to
-divide, is an internal inconsistency, never user error, and a denominator
-that cannot be lifted names its vertex.  The polynomial is finally
+times the common denominator finishes the sum.  That product comes from
+:func:`hookalex.rmatrix.den_product`, memoized by value like the traces'
+denominators, which repeat across vertices, hooks of one size and calls.
+It always divides out to an integer Laurent polynomial; any other vertex
+denominator, or a failure to divide, is an internal inconsistency, never
+user error, and a denominator that cannot be lifted names its vertex.  The polynomial is finally
 normalized by the unit ``+-q^j`` that centers its exponent range and makes
 its value at q = 1 equal to +1 (the invariant is classically defined only up
 to such units).  The framing correction ``phi^(-writhe)`` is such a unit, a
@@ -71,11 +76,18 @@ operator product there would return.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .braid import BraidWord, check_knot
 from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet, unit_normalize
-from .rmatrix import Trace, assemble_R, trace_product
-from .young import Hook, HookGraph
+from .rmatrix import BlockOperator, Trace, assemble_R, den_product, trace_product
+from .young import Hook, HookGraph, check_strands
+
+# Vertex plans held by the vertex_plan cache, one per color and strand count.
+# The benchmark workloads use at most six (a table run over the six hooks of
+# up to 3 boxes), and each plan keeps its vertices' operators alive beside the
+# assemble_R cache, so the bound stays small.
+PLAN_CACHE_SIZE = 8
 
 
 def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
@@ -90,6 +102,23 @@ def hook_weight(color: Hook, mu: Hook) -> tuple[int, int]:
     if rest or m < 1:
         raise ValueError(f"|{mu}| = {mu.size} is not a positive multiple of {color.size}")
     return (-1 if (color.leg + mu.leg) % 2 else 1), m
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def vertex_plan(color: Hook, m: int
+                 ) -> tuple[HookGraph, tuple[tuple[Hook, int, dict[int, BlockOperator]], ...]]:
+    """The graph, and each top-level vertex's hook, weight sign and operators by letter.
+
+    The operators are assembled as evaluations first need their letters.
+    """
+    graph = HookGraph(color, m)
+    check_strands(m)  # before one slot per vertex is allocated
+    vertices = []
+    for k in range(m):
+        vertex = graph.vertex(m, k)
+        sign, _ = hook_weight(color, vertex)  # the weight is sign / [m]_N at every vertex
+        vertices.append((vertex, sign, {}))
+    return graph, tuple(vertices)
 
 
 def _mirror(trace: Trace, k: int) -> Trace:
@@ -132,17 +161,16 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     """
     check_knot(b)
     m = b.strands
-    graph = HookGraph(color, m)
+    graph, vertices = vertex_plan(color, m)
     letters = set(b.letters)
     terms = []
-    for k in range(m):
-        vertex = graph.vertex(m, k)
-        sign, _ = hook_weight(color, vertex)  # the weight is sign / [m]_N at every vertex
+    for k, (vertex, sign, ops) in enumerate(vertices):
         if color.arm == color.leg and 2 * k > m - 1:
             trace = _mirror(terms[m - 1 - k][2], k)
         else:
-            op = {g: assemble_R(graph, k, abs(g), g < 0) for g in letters}
-            trace = trace_product([op[g] for g in b.letters])
+            for g in letters.difference(ops):
+                ops[g] = assemble_R(graph, k, abs(g), g < 0)
+            trace = trace_product([ops[g] for g in b.letters])
         terms.append((vertex, sign, trace))
     # an interior vertex's den is the widest one, an end vertex's is 1 (module docstring)
     common = max((t.den for *_, t in terms), key=lambda den: den.degree() - den.min_exp)
@@ -156,7 +184,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
             num = common * num  # an end vertex, lifted by the common denominator itself
         contributions.append((vertex, num * sign))
     total = sum((num for _, num in contributions), LaurentPoly.zero())
-    denominator = qnum_bullet(m, color.size) * common
+    denominator = den_product(((qnum_bullet(m, color.size), 1), (common, 1)))
     try:
         quotient = exact_div(total, denominator)
     except InexactDivisionError as exc:

@@ -368,10 +368,17 @@ def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
     >>> pack(LaurentPoly(-1, (3, 0, -1)), 8, 2) == 3 - 2**8
     True
     """
-    terms = _spread(p.terms, p.step // step) if len(p.terms) > 1 else p.terms
+    return pack_digits(_spread(p.terms, p.step // step) if len(p.terms) > 1 else p.terms, width)
+
+
+def pack_digits(digits: Sequence[int], width: int) -> int:
+    """``sum digits[i] * 2**(i * width)``, each digit below ``2**(width - 1)`` in absolute value.
+
+    The inverse of :func:`unpack_digits`, up to zero digits at the top.
+    """
     size, half = width // 8, 1 << (width - 1)
-    raw = b"".join([(c + half).to_bytes(size, "little") for c in terms])
-    return int.from_bytes(raw, "little") - _bias(size, len(terms))
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in digits])
+    return int.from_bytes(raw, "little") - _bias(size, len(digits))
 
 
 def _bias(size: int, count: int) -> int:
@@ -397,12 +404,21 @@ def unpack(value: int, width: int, min_exp: int, step: int = 1) -> LaurentPoly:
     >>> unpack(3 - 2**8, 8, -1, 2)
     LaurentPoly('-q + 3q^-1')
     """
+    return _build(min_exp, step, unpack_digits(value, width))
+
+
+def unpack_digits(value: int, width: int) -> list[int]:
+    """The balanced base-``2**width`` digits of ``value``, lowest first (see :func:`unpack`).
+
+    >>> unpack_digits(3 - 2**16, 8)
+    [3, 0, -1]
+    """
     size = width // 8
     count = abs(value).bit_length() // width + 1
     bias = _bias(size, count)
     raw = memoryview(((value + bias) ^ bias).to_bytes(count * size, "little"))
-    return _build(min_exp, step, [int.from_bytes(raw[i:i + size], "little", signed=True)
-                                  for i in range(0, count * size, size)])
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
+            for i in range(0, count * size, size)]
 
 
 def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:

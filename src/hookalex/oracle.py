@@ -10,8 +10,9 @@ else from the package, so nothing here comes from the engine's kernel
 oracle's own.
 
 Both the product and the determinant run on Python ints at t = 2^w
-(Kronecker substitution: evaluation is a ring homomorphism), and only the
-product's entries and the determinant are decoded, each once.
+(Kronecker substitution: evaluation is a ring homomorphism).  The product's
+entries are read as balanced digits, never as polynomials, and only the
+determinant is decoded into one.
 
 Product.  A letter's matrix is the identity but in one row ``j``, whose
 entries are ``1`` and ``+-t^(+-1)`` (:func:`_letter_row`), so right
@@ -34,15 +35,16 @@ Each entry of ``L``'s row ``j`` has norm 1, so a letter adds ``u_j`` to the
 polynomial's 1-norm, so every coefficient of ``B`` and of ``I - B`` is at
 most ``max_c u_c + 1``, and ``w`` is the least multiple of 8 with
 ``2^(w-1)`` above that: the balanced base-``2^w`` digits of each slot are
-then the coefficients (:func:`_decode`).
+then the coefficients (:func:`_slots`).
 
 Determinant width.  For ``A = I - B``, every coefficient of ``det A`` is at
 most ``max_{|t|=1} |det A(t)|`` (a coefficient is a mean of the polynomial
 against ``t^-k`` over the unit circle), which Hadamard's inequality bounds
 by ``prod_c sqrt(sum_r |A_rc(t)|^2) <= prod_c sqrt(sum_r ||A_rc||_1^2)``,
-and likewise by rows.  The bound is taken from the decoded entries: the
+and likewise by rows.  The bound is taken from the entries' digits: the
 a-priori ``u`` ignores cancellation and would widen long products many times
-over.  Each entry is repacked at the width that holds this bound, over
+over.  Each entry's digits are repacked at the width that holds this bound
+(:func:`hookalex.laurent.pack_digits`), over
 ``t^(a_r + b_c)`` with ``a_r`` the least exponent in its row and ``b_c`` then
 in its column, and Bareiss elimination runs on the integer matrix, through
 :func:`hookalex.laurent.det`, the package's one determinant routine.  It is
@@ -57,7 +59,8 @@ import math
 from typing import Sequence
 
 from .braid import BraidWord, check_knot
-from .laurent import LaurentPoly, det, exact_div, pack, packing_width, unit_normalize, unpack
+from .laurent import (LaurentPoly, det, exact_div, pack_digits, packing_width, unit_normalize,
+                      unpack, unpack_digits)
 
 
 def _letter_row(letter: int, strands: int) -> tuple[int, dict[int, tuple[int, int]]]:
@@ -108,14 +111,16 @@ def _packed_product(b: BraidWord) -> tuple[list[int], int, int, int]:
     return cols, width, digits, nu
 
 
-def _decode(cols: Sequence[int], width: int, digits: int, nu: int) -> list[list[LaurentPoly]]:
-    """The columns of a packed product as lists of entries, each times ``t**-nu``.
+def _slots(cols: Sequence[int], width: int, digits: int, nu: int
+           ) -> list[list[tuple[int, list[int]]]]:
+    """The columns of a packed product, each entry times ``t**-nu`` as its digits ``(e, d)``.
 
-    A slot holds ``digits`` balanced digits, each below ``2**(width - 1)`` in
-    absolute value, so the slot's value is below ``2**(width * digits - 1)``
-    and is the balanced remainder of the column.  The zero digits below an
-    entry are dropped before it is unpacked: the lowest set bit of a nonzero
-    digit lies below the digit's top bit.
+    The entry is ``sum_i d[i] t**(e + i)`` with ``d[0] != 0``, and a zero
+    entry is ``(0, [])``.  A slot holds ``digits`` balanced digits, each
+    below ``2**(width - 1)`` in absolute value, so the slot's value is below
+    ``2**(width * digits - 1)`` and is the balanced remainder of the column.
+    The zero digits below an entry are dropped before its digits are read:
+    the lowest set bit of a nonzero digit lies below the digit's top bit.
     """
     bits = width * digits
     half, mask = 1 << (bits - 1), (1 << bits) - 1
@@ -125,19 +130,21 @@ def _decode(cols: Sequence[int], width: int, digits: int, nu: int) -> list[list[
         for _ in cols:
             entry = ((value + half) & mask) - half
             value = (value - entry) >> bits
-            low = ((entry & -entry).bit_length() - 1) // width if entry else 0
-            col.append(unpack(entry >> width * low, width, low - nu))
+            if entry:
+                low = ((entry & -entry).bit_length() - 1) // width
+                col.append((low - nu, unpack_digits(entry >> width * low, width)))
+            else:
+                col.append((0, []))
         out.append(col)
     return out
 
 
-def _hadamard_bound(cols: Sequence[Sequence[LaurentPoly]]) -> int:
-    """A bound on every coefficient of ``det A``, from the entry 1-norms of ``A`` by column.
+def _hadamard_bound(norms: Sequence[Sequence[int]]) -> int:
+    """A bound on every coefficient of ``det A``, from ``norms[c][r] = ||A_rc||_1``.
 
     The lesser of ``prod_c sqrt(sum_r ||A_rc||_1**2)`` and the same product
     over rows (``det A = det A^T``), rounded down.
     """
-    norms = [[sum(map(abs, p.terms)) for p in col] for col in cols]
     by_col = math.prod([sum([x * x for x in col]) for col in norms])
     by_row = math.prod([sum([x * x for x in row]) for row in zip(*norms)])
     return math.isqrt(min(by_col, by_row))
@@ -153,14 +160,14 @@ def burau_alexander(b: BraidWord) -> LaurentPoly:
     check_knot(b)
     cols, width, digits, nu = _packed_product(b)
     eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
-    delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)
-    width = packing_width(_hadamard_bound(delta))
+    delta = _slots([e - x for e, x in zip(eye, cols)], width, digits, nu)
+    width = packing_width(_hadamard_bound([[sum(map(abs, d)) for _, d in col] for col in delta]))
     rows = list(zip(*delta))
-    row_low = [min([p.min_exp for p in row if p.terms], default=0) for row in rows]
-    col_low = [min([p.min_exp - low for p, low in zip(col, row_low) if p.terms], default=0)
+    row_low = [min([e for e, d in row if d], default=0) for row in rows]
+    col_low = [min([e - low for (e, d), low in zip(col, row_low) if d], default=0)
                for col in delta]
-    mat = [[pack(p, width) << width * (p.min_exp - low - c_low) if p.terms else 0
-            for p, c_low in zip(row, col_low)] for row, low in zip(rows, row_low)]
+    mat = [[pack_digits(d, width) << width * (e - low - c_low) if d else 0
+            for (e, d), c_low in zip(row, col_low)] for row, low in zip(rows, row_low)]
     delta_det = unpack(det(mat), width, sum(row_low) + sum(col_low))
     circular = LaurentPoly(0, (1,) * b.strands)  # 1 + t + ... + t^(m-1)
     return unit_normalize(exact_div(delta_det, circular).substitute_power(2))

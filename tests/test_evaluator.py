@@ -5,11 +5,13 @@ import pytest
 
 from hookalex.braid import NotAKnotError, parse_braid
 from hookalex.cli import main
-from hookalex.evaluator import alexander, check_scaling, hook_weight
+from hookalex.evaluator import (PLAN_CACHE_SIZE, alexander, check_scaling, hook_weight,
+                                vertex_plan)
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, NormalizationError, exact_div,
                               qnum_bullet, unit_normalize)
 from hookalex.oracle import burau_alexander
-from hookalex.rmatrix import assemble_R, framing_factor, trace_product
+from hookalex.rmatrix import (DEN_PRODUCT_CACHE_SIZE, assemble_R, den_product, framing_factor,
+                              trace_product)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
 from conftest import expected, markov_variants, random_knot, torus_braid
@@ -126,9 +128,13 @@ def test_operators_assembled_once_per_distinct_letter(monkeypatch):
     monkeypatch.setattr("hookalex.evaluator.assemble_R", counted)
     for b in (FIGURE8, random_knot(random.Random(3), 4, 61), torus_braid(3, 31)):
         for h in (Hook(0, 0), Hook(2, 1)):
+            vertex_plan.cache_clear()  # a cached plan already holds the operators
             calls.clear()
             alexander(h, b)
             assert 0 < len(calls) <= b.strands * len(set(b.letters))
+            calls.clear()
+            alexander(h, b)
+            assert not calls
 
 
 def test_vertex_sum_multiplications_do_not_grow_with_length(monkeypatch):
@@ -151,6 +157,38 @@ def test_vertex_sum_multiplications_do_not_grow_with_length(monkeypatch):
         alexander(Hook(1, 0), b)
         counts.append(count[0])
     assert counts[0] == counts[1]
+
+
+def _fields(res):
+    return res.polynomial, res.contributions, res.denominator
+
+
+def test_cold_and_warm_caches_give_equal_results():
+    cases = [(h, b) for b in (TREFOIL, FIGURE8, torus_braid(3, 7),
+                              random_knot(random.Random(5), 4, 21))
+             for h in hooks_up_to_size(3)]
+    cold = []
+    for h, b in cases:
+        for cache in (vertex_plan, den_product, assemble_R):
+            cache.cache_clear()
+        cold.append(_fields(alexander(h, b)))
+    for _ in range(2):
+        assert [_fields(alexander(h, b)) for h, b in cases] == cold
+
+
+def test_plan_and_denominator_caches_stay_bounded():
+    # More plans (hook, strands) and more denominator products than either
+    # bound holds; the caches evict and every result still scales.
+    braids = (TREFOIL, FIGURE8, torus_braid(3, 7), parse_braid("1 -2 3 -2 1 2 -3", 4))
+    for cache in (vertex_plan, den_product):
+        cache.cache_clear()
+    for b in braids:
+        fundamental = alexander(Hook(0, 0), b).polynomial
+        for h in hooks_up_to_size(5):
+            assert alexander(h, b).polynomial == fundamental.substitute_power(h.size)
+    for cache, bound in ((vertex_plan, PLAN_CACHE_SIZE), (den_product, DEN_PRODUCT_CACHE_SIZE)):
+        info = cache.cache_info()
+        assert info.maxsize == bound and info.currsize <= bound < info.misses
 
 
 @pytest.mark.parametrize("hook", [Hook(0, 0), Hook(1, 1), Hook(2, 1)])

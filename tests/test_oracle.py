@@ -6,11 +6,12 @@ import random
 
 import pytest
 
+from hookalex import oracle
 from hookalex.braid import BraidWord, NotAKnotError, parse_braid
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, _exact_int_div, det, exact_div,
-                              unit_normalize)
-from hookalex.oracle import (_column_bounds, _decode, _hadamard_bound, _letter_row,
-                             _packed_product, burau_alexander)
+                              pack, packing_width, unit_normalize, unpack)
+from hookalex.oracle import (_column_bounds, _hadamard_bound, _letter_row, _packed_product,
+                             burau_alexander)
 
 from conftest import expected, markov_variants, random_knot, random_knot_braids, torus_braid
 
@@ -41,6 +42,22 @@ def _dense_burau(b):
     for g in b.letters:
         product = _matmul(product, reduced_burau(g, b.strands))
     return product
+
+
+def _decode(cols, width, digits, nu):
+    """The columns of a packed product as lists of ``LaurentPoly``s, each times ``t**-nu``."""
+    bits = width * digits
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for value in cols:
+        col = []
+        for _ in cols:
+            entry = ((value + half) & mask) - half
+            value = (value - entry) >> bits
+            low = ((entry & -entry).bit_length() - 1) // width if entry else 0
+            col.append(unpack(entry >> width * low, width, low - nu))
+        out.append(col)
+    return out
 
 
 def burau_matrix(b):
@@ -199,8 +216,39 @@ def test_entries_and_determinant_stay_within_their_bounds():
                      for r in range(n)]
             assert max(abs(x) for row in delta for p in row for x in p.terms) < 2 ** (width - 1)
             value = det(delta, exact_div, _ZERO, _ONE)
-            bound = _hadamard_bound([list(col) for col in zip(*delta)])
+            bound = _hadamard_bound([[_norm(p) for p in col] for col in zip(*delta)])
             assert max(abs(x) for x in value.terms) <= bound
+
+
+def _reference_det_input(b):
+    """The integer matrix and width the oracle passes to ``det``, from ``LaurentPoly`` entries."""
+    cols, width, digits, nu = _packed_product(b)
+    eye = [1 << width * (c * digits + nu) for c in range(len(cols))]
+    delta = _decode([e - x for e, x in zip(eye, cols)], width, digits, nu)
+    width = packing_width(_hadamard_bound([[_norm(p) for p in col] for col in delta]))
+    rows = list(zip(*delta))
+    row_low = [min([p.min_exp for p in row if p.terms], default=0) for row in rows]
+    col_low = [min([p.min_exp - low for p, low in zip(col, row_low) if p.terms], default=0)
+               for col in delta]
+    mat = [[pack(p, width) << width * (p.min_exp - low - c_low) if p.terms else 0
+            for p, c_low in zip(row, col_low)] for row, low in zip(rows, row_low)]
+    return mat, width
+
+
+def test_determinant_input_is_read_from_the_slots_digits(monkeypatch):
+    # The Hadamard norms and the repacked I - B come straight from each slot's
+    # balanced digits; they equal the matrix and width built from polynomials.
+    seen = []
+    monkeypatch.setattr(oracle, "det", lambda mat: seen.append([mat]) or det(mat))
+    monkeypatch.setattr(oracle, "unpack", lambda value, width, low: seen[-1].append(width)
+                        or unpack(value, width, low))
+    rng = random.Random(20261022)
+    wide = [BraidWord(3, (1, -2) * 40), BraidWord(6, (1, -2, 3, -4, 5) * 13)]
+    for m in range(3, 11):
+        for b in _seeded_knots(rng, m, (m + 3, 3 * m)) + [w for w in wide if w.strands == m]:
+            seen.clear()
+            burau_alexander(b)
+            assert seen == [list(_reference_det_input(b))], b
 
 
 # -- Alexander values -----------------------------------------------------------------

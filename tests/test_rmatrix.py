@@ -8,7 +8,8 @@ import pytest
 
 from hookalex import rmatrix
 from hookalex.braid import closure_is_knot, parse_braid
-from hookalex.laurent import InexactDivisionError, LaurentPoly, pack, qnum, qnum_bullet, unpack
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, pack, power_product, qnum,
+                              qnum_bullet, unpack)
 from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
                               commutation_holds, doublet_block,
                               framing_factor, hook_eigenvalues,
@@ -393,6 +394,43 @@ def test_trace_denominator_is_the_product_of_the_operator_dens():
                     expected = expected * op.den
                 assert trace_product(ops).den == expected
                 assert product_numerators(ops)[1] == expected
+
+
+def test_memoized_denominator_products_match_power_product_and_dense_products():
+    # den_product is keyed by the factors' values: a cold call gives
+    # power_product's value, which is the dense product of the operators'
+    # den, and equal factors built anew hit the same entry.
+    for ops in _seeded_products():
+        dense = LaurentPoly.one()
+        for op in ops:
+            dense = dense * op.den
+        factors = tuple(Counter(op.den for op in ops if not op.den.is_one()).items())
+        rmatrix.den_product.cache_clear()
+        cold = rmatrix.den_product(factors)
+        assert cold == power_product(factors) == dense
+        copies = tuple((LaurentPoly(p.min_exp, p.coeffs), n) for p, n in factors)
+        assert rmatrix.den_product(copies) is cold
+        assert trace_product(ops).den == dense
+
+
+def test_one_path_traces_are_read_from_their_factor(monkeypatch):
+    # Both end vertices have a basis of one path that no doublet touches: the
+    # trace is the column's pending signed monomial, read with no decoding.
+    rng = random.Random(20261021)
+    products = []
+    for m in range(2, 7):
+        for h in hooks_up_to_size(3):
+            g = HookGraph(h, m)
+            letters = [rng.choice((1, -1)) * rng.randint(1, m - 1) for _ in range(m + 5)]
+            products += [[assemble_R(g, k, abs(x), x < 0) for x in letters] for k in (0, m - 1)]
+    assert all(len(ops[0]) == 1 for ops in products)
+    expected = [_dense_trace(ops) for ops in products]
+
+    def refuse(*args):
+        raise AssertionError("a one-path trace was decoded")
+
+    monkeypatch.setattr(rmatrix, "unpack", refuse)
+    assert [tuple(trace_product(ops)) for ops in products] == expected
 
 
 def test_doublet_free_products_keep_the_identity_columns():
