@@ -395,9 +395,13 @@ def unpack(value: int, width: int, min_exp: int, step: int = 1) -> LaurentPoly:
     that bit again leaves each digit in two's complement, which one
     ``to_bytes`` pass and a signed ``from_bytes`` per digit read off.  Each
     coefficient is thus allocated at its own size, not at the width's.  The
-    digit count follows from the bit length, since a top digit ``c != 0``
-    puts ``|value|`` in ``[2**(width*(n-1) - 1), 2**(width*n - 1))``.  Any
-    ``value`` decodes to the balanced base-``2**width`` digits of itself.
+    digit count follows from the bit length: the bias of ``n`` digits lies in
+    ``[2**(width*n - 1), 2**(width*n - 1) * 256/255]``, so every ``|value| <
+    2**(width*n - 2)`` plus the bias is a nonnegative int of ``n`` digits.
+    Any ``value`` thus decodes to the balanced base-``2**width`` digits of
+    itself, the top digit perhaps 0.  A value just below ``2**(width*n -
+    1)`` may need ``n + 1`` digits: at width 8 the digits of ``32765`` are
+    ``-3, -128, 1``.
 
     >>> unpack(pack(LaurentPoly(-1, (3, 0, -1)), 8), 8, -1)
     LaurentPoly('-q + 3q^-1')
@@ -414,7 +418,7 @@ def unpack_digits(value: int, width: int) -> list[int]:
     [3, 0, -1]
     """
     size = width // 8
-    count = abs(value).bit_length() // width + 1
+    count = (abs(value).bit_length() + 1) // width + 1
     bias = _bias(size, count)
     raw = memoryview(((value + bias) ^ bias).to_bytes(count * size, "little"))
     return [int.from_bytes(raw[i:i + size], "little", signed=True)

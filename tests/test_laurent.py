@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hookalex import laurent
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, power_product,
-                              qnum, qnum_bullet, unpack)
+                              qnum, qnum_bullet, unpack, unpack_digits)
 
 from conftest import evaluate
 
@@ -406,6 +406,19 @@ def test_unpack_allocates_coefficients_at_their_own_size():
     built, r = allocated(lambda: LaurentPoly(-3, [int(text) for text in map(str, coeffs)]))
     assert p == r
     assert decoded <= built
+
+
+def test_unpack_reads_a_carry_past_the_bit_length():
+    # 32765 < 2**15, but its balanced base-256 digits are -3, -128, 1
+    assert unpack_digits(32765, 8) == [-3, -128, 1]
+    assert unpack(32765, 8, 0) == LaurentPoly(0, (-3, -128, 1))
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.sampled_from([8, 16, 24]))
+def test_unpack_digits_of_any_int_are_its_balanced_digits(value, width):
+    digits = unpack_digits(value, width)
+    assert all(-2 ** (width - 1) <= c < 2 ** (width - 1) for c in digits)
+    assert sum(c << width * i for i, c in enumerate(digits)) == value
 
 
 @given(polys, st.sampled_from([8, 16, 24]), st.integers(1, 3))
