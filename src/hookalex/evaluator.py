@@ -20,7 +20,8 @@ at the two end vertices, so every interior vertex has the same denominator
 ``prod [|g|]_N`` over those letters, the common denominator, and an end
 vertex has 1.  An end vertex's numerator is lifted to the common denominator
 by multiplying by it, no other numerator needs lifting, and the terms are
-added as integer Laurent polynomials; a single exact division by ``[m]_N``
+added as integer Laurent polynomials in one pass
+(:func:`hookalex.laurent.poly_sum`); a single exact division by ``[m]_N``
 times the common denominator finishes the sum.  That product comes from
 :func:`hookalex.rmatrix.den_product`, memoized by value like the traces'
 denominators, which repeat across vertices, hooks of one size and calls.
@@ -79,7 +80,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .braid import BraidWord, check_knot
-from .laurent import InexactDivisionError, LaurentPoly, exact_div, qnum_bullet, unit_normalize
+from .laurent import (InexactDivisionError, LaurentPoly, exact_div, poly_sum, qnum_bullet,
+                      unit_normalize)
 from .rmatrix import BlockOperator, Trace, assemble_R, den_product, trace_product
 from .young import Hook, HookGraph, check_strands
 
@@ -183,7 +185,7 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
                     f"is neither 1 nor the common one ({common.summary()})")
             num = common * num  # an end vertex, lifted by the common denominator itself
         contributions.append((vertex, num * sign))
-    total = sum((num for _, num in contributions), LaurentPoly.zero())
+    total = poly_sum([num for _, num in contributions])
     denominator = den_product(((qnum_bullet(m, color.size), 1), (common, 1)))
     try:
         quotient = exact_div(total, denominator)

@@ -7,12 +7,14 @@ framing factor, signed monomials ``+-q^e`` whose powers ``**`` takes in closed
 form (negative ones included).  It is stored strided, as
 ``q**min_exp * p(q**step)`` with ``step`` the gcd of its exponent gaps, so
 polynomials in ``q**N`` (colored invariants, bullet q-numbers) carry no runs
-of zeros.  The evaluator's single division of the
-vertex sum by its factored denominator goes through `exact_div`, which fails
-loudly if the division is not exact; it runs on packed ints too.  `pack` and
-`unpack` map a polynomial in q**step to its value at q**step = 2**width and
-back (Kronecker substitution); the operator product runs on such packed ints
-and decodes its result once, each coefficient at its own size.
+of zeros.  `poly_sum` is the one addition routine: it adds any number of
+polynomials in one pass at their common step, and ``+`` calls it on two.
+The evaluator's single division of the vertex sum by its factored
+denominator goes through `exact_div`, which fails loudly if the division is
+not exact; it runs on packed ints too.  `pack` and `unpack` map a
+polynomial in q**step to its value at q**step = 2**width and back
+(Kronecker substitution); the operator product runs on such packed ints and
+decodes its result once, each coefficient at its own size.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
 traces of its mirrored vertices.  `unit_normalize` brings a result to the
 canonical form that both the evaluator and the Burau oracle return.  `det`
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Sequence, TypeVar
 
 
@@ -111,18 +114,7 @@ class LaurentPoly:
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        step = math.gcd(self.step, other.step, self.min_exp - other.min_exp)
-        out = [0] * ((max(self.degree(), other.degree()) - lo) // step + 1)
-        for p in (self, other):
-            start, stride = (p.min_exp - lo) // step, p.step // step
-            for i, c in enumerate(p.terms):
-                out[start + i * stride] += c
-        return _build(lo, step, out)
+        return poly_sum((self, other))
 
     __radd__ = __add__
 
@@ -319,6 +311,30 @@ def _spread(terms: Sequence[int], stride: int) -> Sequence[int]:
     return out
 
 
+def poly_sum(polys: Sequence[LaurentPoly]) -> LaurentPoly:
+    """The sum of ``polys``, added in one pass into one buffer at their common step.
+
+    The buffer's step is the gcd of the summands' steps (a monomial has
+    none) and of the gaps between their lowest exponents, so every term has
+    a slot; the canonical result is built from it once.
+
+    >>> poly_sum([qnum(3), -qnum_bullet(2, 2), LaurentPoly.monomial(2, 1)])
+    LaurentPoly('2q + 1')
+    """
+    polys = [p for p in polys if p.terms]
+    if not polys:
+        return LaurentPoly.zero()
+    lo = min([p.min_exp for p in polys])
+    step = math.gcd(*[p.step if len(p.terms) > 1 else 0 for p in polys],
+                    *[p.min_exp - lo for p in polys]) or 1
+    out = [0] * ((max([p.degree() for p in polys]) - lo) // step + 1)
+    for p in polys:
+        start, stride = (p.min_exp - lo) // step, p.step // step or 1
+        stop = start + (len(p.terms) - 1) * stride + 1
+        out[start:stop:stride] = map(add, out[start:stop:stride], p.terms)
+    return _build(lo, step, out)
+
+
 def qnum(n: int) -> LaurentPoly:
     """The q-number [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), for n >= 1.
 
@@ -327,7 +343,7 @@ def qnum(n: int) -> LaurentPoly:
     """
     if n < 1:
         raise ValueError(f"q-number index must be >= 1, got {n}")
-    return LaurentPoly(1 - n, tuple(1 if i % 2 == 0 else 0 for i in range(2 * n - 1)))
+    return _raw(1 - n, 2 if n > 1 else 1, (1,) * n)
 
 
 def qnum_bullet(n: int, base: int) -> LaurentPoly:

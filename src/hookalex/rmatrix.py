@@ -52,9 +52,10 @@ moves a stored polynomial by a signed power of q only, the width proof does
 not change.  Each operator is built once, by :func:`assemble_R`, as a
 :class:`BlockOperator`: its numerator rows, the entry norms the width bound
 needs, and either its diagonal signs and exponents or, for an operator with
-a doublet, its packed terms memoized for at most ``PLAN_WIDTHS`` widths.
-Operators repeat across letters, vertices and braids, so a product only
-shifts and adds.
+a doublet, its packed terms, one tuple per column, memoized for at most
+``PLAN_WIDTHS`` widths; a column of one or two terms is read by unpacking
+it, and only the longer ones of spread q-numbers are sorted.  Operators
+repeat across letters, vertices and braids, so a product only shifts and adds.
 
 What follows the product stays packed too.  The trace's denominator is the
 product of a few distinct bullet q-numbers, each raised to its count on one
@@ -75,7 +76,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .laurent import (InexactDivisionError, LaurentPoly, pack, packing_width, power_product,
@@ -153,10 +153,10 @@ PLAN_WIDTHS = 8
 
 NumeratorRows = list[dict[int, LaurentPoly]]
 
-# An operator's terms at one width, flat and column by column: the column's
-# term count, then row, multiplier, exponent for each term.  One tuple per
-# width keeps an operator small.
-Terms = tuple[int, ...]
+# An operator's terms at one width, one flat tuple per column: row,
+# multiplier, exponent for each term, so a column of one or two terms is read
+# by unpacking its tuple.
+Terms = tuple[tuple[int, ...], ...]
 
 
 def _norm(p: LaurentPoly) -> int:
@@ -214,7 +214,7 @@ class BlockOperator(list):
         return self
 
     def packed(self, width: int) -> Terms:
-        """The entries' terms at q = 2**width."""
+        """The entries' terms at q = 2**width: per column, row, multiplier, exponent per term."""
         found = self._widths.get(width)
         if found is None:
             if len(self._widths) >= PLAN_WIDTHS:
@@ -227,8 +227,7 @@ class BlockOperator(list):
                         entry[p] = _terms(p, width)
                     for m, e in entry[p]:
                         columns[c] += (k, m, e)
-            found = self._widths[width] = tuple(x for col in columns
-                                                for x in (len(col) // 3, *col))
+            found = self._widths[width] = tuple([tuple(col) for col in columns])
         return found
 
 
@@ -339,44 +338,56 @@ def _apply(cols: list[list[int]], neg: int, exps: list[int], terms: Terms,
     Column c of the result sums ``m * q**e`` times column ``k`` of P, its
     factor included, over the terms (k, m, e) of B's column c.  The terms are
     shifted over their least combined exponent, which becomes the new
-    column's.  The new column starts from that term: a +-1 one is its column
-    of P, the very list, and its sign becomes bit ``c`` of the returned mask,
-    so every later term is added with its multiplier times that sign.
+    column's; of two terms at one exponent the first leads.  The new column
+    starts from that term: a +-1 one is its column of P, the very list, and
+    its sign becomes bit ``c`` of the returned mask, so every later term is
+    added with its multiplier times that sign.
     """
     out: list[list[int]] = []
     out_exps: list[int] = []
     out_neg = 0
-    it = iter(terms)
-    for c, n in enumerate(it):
-        # A singlet over den or a doublet column is read term by term: on short
-        # products, zip, islice and a comprehension cost more than the passes.
-        if n <= 2:
-            k, m, e = next(it), next(it), next(it)
-            found = [(exps[k] + e, -m if neg >> k & 1 else m, k)]
-            if n == 2:  # the second term goes first if its exponent is less
-                k, m, e = next(it), next(it), next(it)
-                e += exps[k]
-                found.insert(e >= found[0][0], (e, -m if neg >> k & 1 else m, k))
+    for c, col in enumerate(terms):
+        # A column of one or two terms (a singlet over den, a doublet's column)
+        # is unpacked, since on short products sorting costs more than the passes.
+        n = len(col)
+        if n == 3:
+            k, m, base = col
+            base += exps[k]
+        elif n == 6:  # the second term leads only if its exponent is less
+            k, m, base, k2, m2, e2 = col
+            base, e2 = base + exps[k], e2 + exps[k2]
+            if e2 < base:
+                k, m, base, k2, m2, e2 = k2, m2, e2, k, m, base
+            if neg >> k2 & 1:
+                m2 = -m2
+        else:  # a spread q-number: the terms in order of exponent, multipliers signed
+            it = iter(col)
+            (base, m, k), *rest = sorted([(exps[k] + e, -m if neg >> k & 1 else m, k)
+                                          for k, m, e in zip(it, it, it)])
+        if n <= 6 and neg >> k & 1:
+            m = -m
+        if m == 1 or m == -1:  # no pass: the column of P itself, its sign in the factor
+            acc, lead = cols[k], m
+            out_neg |= (m < 0) << c
         else:
-            found = sorted([(exps[k] + e, -m if neg >> k & 1 else m, k)
-                            for k, m, e in islice(zip(it, it, it), n)])
-        (base, lead, k), *rest = found
-        if lead == 1 or lead == -1:  # no pass: the column of P itself, its sign in the factor
-            acc = cols[k]
-            out_neg |= (lead < 0) << c
-        else:
-            acc, lead = [x * lead for x in cols[k]], 1
-        for e, m, k in rest:
-            src, shift, m = cols[k], (e - base) * width, m * lead
-            if m == 1:
-                acc = [a + (x << shift) for a, x in zip(acc, src)]
-            elif m == -1:
-                acc = [a - (x << shift) for a, x in zip(acc, src)]
-            else:
-                acc = [a + (x * m << shift) for a, x in zip(acc, src)]
+            acc, lead = [x * m for x in cols[k]], 1
+        if n == 6:
+            acc = _add_shifted(acc, cols[k2], (e2 - base) * width, m2 * lead)
+        elif n > 6:
+            for e, m, k in rest:
+                acc = _add_shifted(acc, cols[k], (e - base) * width, m * lead)
         out.append(acc)
         out_exps.append(base)
     return out, out_exps, out_neg
+
+
+def _add_shifted(acc: list[int], src: list[int], shift: int, m: int) -> list[int]:
+    """``acc + m * src * 2**shift``, entry by entry, as a new list."""
+    if m == 1:
+        return [a + (x << shift) for a, x in zip(acc, src)]
+    if m == -1:
+        return [a - (x << shift) for a, x in zip(acc, src)]
+    return [a + (x * m << shift) for a, x in zip(acc, src)]
 
 
 @lru_cache(maxsize=DEN_PRODUCT_CACHE_SIZE)

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookalex import laurent
-from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, power_product,
-                              qnum, qnum_bullet, unpack, unpack_digits)
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, poly_sum,
+                              power_product, qnum, qnum_bullet, unpack, unpack_digits)
 
 from conftest import evaluate
 
@@ -105,6 +107,16 @@ def test_qnum_small():
     assert qnum(4) == LaurentPoly(-3, (1, 0, 1, 0, 1, 0, 1))
 
 
+def test_qnum_is_its_dense_construction():
+    # qnum builds (1 - n, 2, (1,) * n) directly; the dense constructor trims,
+    # takes the gcd of the gaps and gives step 1 to the one term of [1].
+    for n in range(1, 65):
+        dense = LaurentPoly(1 - n, [1 if i % 2 == 0 else 0 for i in range(2 * n - 1)])
+        p = qnum(n)
+        assert (p.min_exp, p.step, p.terms) == (dense.min_exp, dense.step, dense.terms)
+    assert qnum(1).step == 1 and qnum(2).step == 2
+
+
 def test_qnum_rejects_nonpositive():
     with pytest.raises(ValueError):
         qnum(0)
@@ -191,6 +203,30 @@ def test_substitute_neg_inverse_is_canonical(p):
 def test_substitute_neg_inverse_of_zero():
     z = LaurentPoly.zero().substitute_neg_inverse()
     assert z == LaurentPoly.zero() and (z.min_exp, z.step, z.terms) == (0, 1, ())
+
+
+# -- one-pass sums ------------------------------------------------------------------
+
+@given(st.lists(strided, max_size=4), st.lists(st.integers(0, 3), max_size=2))
+def test_one_pass_sum_is_left_to_right_addition(ps, negated):
+    # Mixed steps and lowest exponents, zeros, and negated copies that cancel
+    # in part or in full; 0 to 6 summands.
+    ps = ps + [-ps[i] for i in negated if i < len(ps)]
+    total = poly_sum(ps)
+    assert total == functools.reduce(operator.add, ps, LaurentPoly.zero())
+    by_exp: dict[int, int] = {}
+    for p in ps:
+        for i, c in enumerate(p.terms):
+            by_exp[p.min_exp + i * p.step] = by_exp.get(p.min_exp + i * p.step, 0) + c
+    exps = sorted(e for e, c in by_exp.items() if c)
+    assert [total.min_exp + i * total.step for i, c in enumerate(total.terms) if c] == exps
+    assert [c for c in total.terms if c] == [by_exp[e] for e in exps]
+    # canonical: the zero is (0, 1, ()), and the step is the gcd of the gaps
+    if not exps:
+        assert (total.min_exp, total.step, total.terms) == (0, 1, ())
+    else:
+        assert total.terms[0] and total.terms[-1]
+        assert total.step == (math.gcd(*[e - exps[0] for e in exps]) or 1)
 
 
 # -- exact division -----------------------------------------------------------------

@@ -301,9 +301,7 @@ def test_a_unit_lead_term_reuses_its_column_and_carries_its_sign():
     g, width, zero = HookGraph(Hook(0, 0), 4), 104, LaurentPoly.zero()
     op = assemble_R(g, 1, 2)
     dim, rng, leads = len(op), random.Random(7), Counter()
-    terms, it = [], iter(op.packed(width))
-    for n in it:
-        terms.append([(next(it), next(it), next(it)) for _ in range(n)])
+    terms = [list(zip(col[::3], col[1::3], col[2::3])) for col in op.packed(width)]
 
     def true(columns, mask, exps):
         return [[(-1 if mask >> c & 1 else 1) * unpack(columns[c][r], width, exps[c])
@@ -326,7 +324,7 @@ def test_a_unit_lead_term_reuses_its_column_and_carries_its_sign():
                 assert found[1:] == [] or found[0][0] < found[1][0]  # one lead
                 base, lead, k, m, e = found[0]
                 assert out_exps[c] == base and out_neg >> c & 1 == (lead == -1)
-                lead_terms += (1, k, m, e)
+                lead_terms.append((k, m, e))
                 reused.append((k, lead in (1, -1)))
                 leads[lead if lead in (1, -1) else 0] += 1
             alone, _, alone_neg = rmatrix._apply(cols, neg, exps, tuple(lead_terms), width)
@@ -340,6 +338,62 @@ def test_a_unit_lead_term_reuses_its_column_and_carries_its_sign():
         dense, dense_den = _dense_product(ops)
         assert den == dense_den
         assert [[row.get(c, zero) for c in range(len(rows))] for row in rows] == dense
+
+
+def _check_apply(op, width, seen):
+    """_apply of ``op`` at ``width`` against the dense product, for every sign mask."""
+    terms, dim, rng, zero = op.packed(width), len(op), random.Random(width), LaurentPoly.zero()
+    columns = [list(zip(col[::3], col[1::3], col[2::3])) for col in terms]
+    exps_cases = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(2)]
+    for col in columns:
+        if len(col) == 2:
+            (k1, _, e1), (k2, _, e2) = col
+            exps = [rng.randint(-6, 6) for _ in range(dim)]
+            exps[k2] = exps[k1] + e1 - e2
+            exps_cases.append(exps)
+    for neg in range(1 << dim):
+        for exps in exps_cases:
+            cols = [[pack(LaurentPoly(0, [rng.randint(-5, 5) for _ in range(3)]), width)
+                     for _ in range(dim)] for _ in range(dim)]
+            out, out_exps, out_neg = rmatrix._apply(cols, neg, exps, terms, width)
+            p = [[(-1 if neg >> c & 1 else 1) * unpack(cols[c][r], width, exps[c])
+                  for c in range(dim)] for r in range(dim)]
+            assert [[(-1 if out_neg >> c & 1 else 1) * unpack(out[c][r], width, out_exps[c])
+                     for c in range(dim)] for r in range(dim)] == [
+                [sum((p[r][j] * op[j][c] for j in range(dim) if c in op[j]), zero)
+                 for c in range(dim)] for r in range(dim)]
+            # the lead of each column: the least exponent, of two terms the first
+            # on a tie, of more the least (exponent, signed multiplier, row)
+            leads = []
+            for col in columns:
+                keys = [(exps[j] + e, -m if neg >> j & 1 else m, j, (j, m, e)) for j, m, e in col]
+                leads.append(min(keys, key=lambda t: t[0]) if len(col) <= 2 else min(keys))
+                seen["tie"] += len(col) == 2 and keys[0][0] == keys[1][0]
+            assert out_exps == [base for base, *_ in leads]
+            # alone, a +-1 lead is its column of P, the very list, its sign in the mask
+            alone, _, alone_neg = rmatrix._apply(cols, neg, exps, tuple(t for *_, t in leads), width)
+            assert alone_neg == out_neg
+            for c, (col, (_, m, j, _)) in enumerate(zip(columns, leads)):
+                if m in (1, -1):
+                    assert alone[c] is cols[j] and out_neg >> c & 1 == (m < 0)
+                else:
+                    assert all(alone[c] is not src for src in cols) and not out_neg >> c & 1
+                seen[min(len(col), 3), m if m in (1, -1) else 0] += 1
+
+
+def test_apply_matches_the_dense_product_and_keeps_each_lead():
+    # _apply unpacks a column of one or two terms and sorts a longer one, the
+    # spread q-numbers of products at width 104 and above.  Every sign mask,
+    # with exponents that also tie the two terms of each two-term column: the
+    # first term then leads.
+    seen = Counter()
+    for hook, strands, k, letter, width in (
+            (Hook(0, 0), 4, 1, 2, 8), (Hook(0, 0), 4, 1, 2, 104), (Hook(1, 0), 4, 1, 2, 104),
+            (Hook(0, 1), 5, 2, 3, 128)):
+        _check_apply(assemble_R(HookGraph(hook, strands), k, letter), width, seen)
+    assert seen["tie"]
+    # one, two and more terms; +-1 leads of both signs, and leads that take a pass
+    assert {(1, 0), (2, 1), (2, -1), (2, 0), (3, 1), (3, -1)} <= set(seen)
 
 
 def test_every_trace_lies_in_one_class_mod_2n():
