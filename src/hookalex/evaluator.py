@@ -12,22 +12,29 @@ q -> q^N.  What depends only on the color and the strand count is built once
 into a vertex plan, kept for at most ``PLAN_CACHE_SIZE`` pairs: the graph,
 each vertex's hook and weight sign, and its operators, each assembled when an
 evaluation first needs its letter and then reused by every later braid.
-The kernel returns each trace as an integer numerator over its own
-denominator, the product of the operators' ``den``: ``[|g|]_N`` for a letter
-whose operator has a doublet, else 1.  Every letter with ``|g| >= 2`` has a
-doublet at every interior vertex (``0 < k < m - 1``), and no letter has one
-at the two end vertices, so every interior vertex has the same denominator
-``prod [|g|]_N`` over those letters, the common denominator, and an end
-vertex has 1.  An end vertex's numerator is lifted to the common denominator
-by multiplying by it, no other numerator needs lifting, and the terms are
-added as integer Laurent polynomials in one pass
-(:func:`hookalex.laurent.poly_sum`); a single exact division by ``[m]_N``
-times the common denominator finishes the sum.  That product comes from
-:func:`hookalex.rmatrix.den_product`, memoized by value like the traces'
-denominators, which repeat across vertices, hooks of one size and calls.
-It always divides out to an integer Laurent polynomial; any other vertex
-denominator, or a failure to divide, is an internal inconsistency, never
-user error, and a denominator that cannot be lifted names its vertex.  The polynomial is finally
+Only the interior vertices (``0 < k < m - 1``) run the kernel, which returns
+each trace as an integer numerator over its own denominator, the product of
+the operators' ``den``: ``[|g|]_N`` for a letter whose operator has a
+doublet, else 1.  Every letter with ``|g| >= 2`` has a doublet at every
+interior vertex, so every interior vertex has the same denominator
+``prod [|g|]_N`` over those letters, the common denominator.  It is taken
+from the first interior trace and every later one must equal it; 2 strands
+have no interior vertex, and their common denominator is 1.  An end vertex
+(``k = 0`` or ``m - 1``) has one path, all-arm or all-leg, which no doublet
+touches: there each letter's operator is the 1x1 matrix of one crossing
+eigenvalue ``+-q^(K+-N)``, or its inverse, over 1.  So the trace is the
+product of those signed monomials, each read once per distinct letter off
+its operator's single entry and raised to the letter's count, and the
+vertex's numerator, lifted to the common denominator, is that denominator
+shifted by the summed exponent and signed.  The terms are added as integer
+Laurent polynomials in one pass (:func:`hookalex.laurent.poly_sum`); a single
+exact division by ``[m]_N`` times the common denominator finishes the sum.
+That product comes from :func:`hookalex.rmatrix.den_product`, memoized by
+value like the traces' denominators, which repeat across vertices, hooks of
+one size and calls.  It always divides out to an integer Laurent
+polynomial; an interior denominator other than the common one, or a failure
+to divide, is an internal inconsistency, never user error, and the former
+names its vertex.  The polynomial is finally
 normalized by the unit ``+-q^j`` that centers its exponent range and makes
 its value at q = 1 equal to +1 (the invariant is classically defined only up
 to such units).  The framing correction ``phi^(-writhe)`` is such a unit, a
@@ -37,7 +44,8 @@ removes it, together with the residual sign ``(-1)^(leg * writhe)`` it would
 leave, and it is never multiplied in.
 
 A self-transpose color (``arm == leg``, the fundamental color among them)
-needs operator products at only the vertices ``k`` with ``2k <= m - 1``: the
+needs operator products at only the interior vertices ``k`` with
+``2k <= m - 1``: the
 trace at vertex ``m - 1 - k`` is the trace at vertex ``k`` under
 ``omega: q -> -q^-1``.  Proof.  ``omega`` is a ring involution of the Laurent
 polynomials.  Let ``h = (a, l)``, ``h' = (l, a)`` its transpose,
@@ -76,6 +84,7 @@ operator product there would return.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,26 +173,37 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     check_knot(b)
     m = b.strands
     graph, vertices = vertex_plan(color, m)
-    letters = set(b.letters)
-    terms = []
-    for k, (vertex, sign, ops) in enumerate(vertices):
+    counts = Counter(b.letters)
+    interior: list[Trace] = []  # the trace at vertex k is interior[k - 1]
+    for k in range(1, m - 1):
         if color.arm == color.leg and 2 * k > m - 1:
-            trace = _mirror(terms[m - 1 - k][2], k)
+            trace = _mirror(interior[m - 2 - k], k)
         else:
-            for g in letters.difference(ops):
+            ops = vertices[k][2]
+            for g in counts.keys() - ops.keys():
                 ops[g] = assemble_R(graph, k, abs(g), g < 0)
             trace = trace_product([ops[g] for g in b.letters])
-        terms.append((vertex, sign, trace))
-    # an interior vertex's den is the widest one, an end vertex's is 1 (module docstring)
-    common = max((t.den for *_, t in terms), key=lambda den: den.degree() - den.min_exp)
+        interior.append(trace)
+    # every interior vertex has the common denominator (module docstring); 2 strands have none
+    common = interior[0].den if interior else LaurentPoly.one()
     contributions = []
-    for k, (vertex, sign, (num, den)) in enumerate(terms):
-        if den != common:
-            if not den.is_one():
+    for k, (vertex, sign, ops) in enumerate(vertices):
+        if 0 < k < m - 1:
+            num, den = interior[k - 1]
+            if den is not common and den != common:
                 raise InexactDivisionError(
                     f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
-                    f"is neither 1 nor the common one ({common.summary()})")
-            num = common * num  # an end vertex, lifted by the common denominator itself
+                    f"is not the common one ({common.summary()})")
+        else:  # one path: each letter acts by its signed monomial entry, raised to its count
+            exp = 0
+            for g, n in counts.items():
+                if g not in ops:
+                    ops[g] = assemble_R(graph, k, abs(g), g < 0)
+                entry = ops[g].numerator_rows()[0][0]
+                exp += n * entry.min_exp
+                if n % 2 and entry.terms[0] < 0:
+                    sign = -sign
+            num = common.shift(exp)  # the trace q^exp, lifted by the common denominator
         contributions.append((vertex, num * sign))
     total = poly_sum([num for _, num in contributions])
     denominator = den_product(((qnum_bullet(m, color.size), 1), (common, 1)))

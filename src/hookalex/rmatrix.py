@@ -67,9 +67,11 @@ denominator, ``[m]_N`` times the common one, goes through it too.  Every
 term of a trace lies in one class mod ``2N`` (proof in :func:`trace_product`),
 so its numerator is decoded at that grade, reading one digit in ``2N``, and a
 decoded coefficient too wide for one digit reveals a nonzero digit between.
-A trace on one path that no doublet touched, at either end vertex, needs no
-decoding: its packed column is still the identity's 1, and the trace is the
-column's pending signed monomial.
+A trace on one path that no doublet touched, as at either end vertex, needs
+no decoding: its packed column is still the identity's 1, and the trace is
+the column's pending signed monomial.  Only direct callers reach this read:
+the evaluator takes an end vertex's trace off its operators' single entries
+and runs the product only at interior vertices.
 """
 
 from __future__ import annotations

@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from hookalex.braid import NotAKnotError, parse_braid
+from hookalex.braid import BraidWord, NotAKnotError, parse_braid
 from hookalex.cli import main
 from hookalex.evaluator import (PLAN_CACHE_SIZE, alexander, check_scaling, hook_weight,
                                 vertex_plan)
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, NormalizationError, exact_div,
                               qnum_bullet, unit_normalize)
 from hookalex.oracle import burau_alexander
-from hookalex.rmatrix import (DEN_PRODUCT_CACHE_SIZE, assemble_R, den_product, framing_factor,
-                              trace_product)
+from hookalex.rmatrix import (DEN_PRODUCT_CACHE_SIZE, BlockOperator, assemble_R, den_product,
+                              framing_factor, trace_product)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
 from conftest import expected, markov_variants, random_knot, torus_braid
 
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
+KNOT4 = parse_braid("1 -2 3 -2 1 2 -3", 4)
 
 
 # -- unit normalization -----------------------------------------------------------
@@ -202,20 +203,20 @@ def test_denominator_is_the_product_of_bullets(hook):
 
 
 def test_failed_lift_names_the_vertex(monkeypatch):
-    b = torus_braid(3, 31)
-    common = exact_div(alexander(Hook(2, 1), b).denominator, qnum_bullet(3, 4))
+    b = KNOT4  # hook (2, 1) traces both interior vertices, k = 1 and 2
+    common = exact_div(alexander(Hook(2, 1), b).denominator, qnum_bullet(4, 4))
     traces = []
 
-    def patched(ops):  # vertex 0's denominator becomes 2, which does not divide common
+    def patched(ops):  # vertex 2's denominator becomes 2, which is not the common one
         traces.append(trace_product(ops))
         t = traces[-1]
-        return t._replace(den=LaurentPoly.constant(2)) if len(traces) == 1 else t
+        return t._replace(den=LaurentPoly.constant(2)) if len(traces) == 2 else t
 
     monkeypatch.setattr("hookalex.evaluator.trace_product", patched)
     with pytest.raises(InexactDivisionError) as exc:
         alexander(Hook(2, 1), b)
     message = str(exc.value)
-    assert "vertex k=0" in message and len(message) < 300
+    assert "vertex k=2" in message and len(message) < 300
     assert LaurentPoly.constant(2).summary() in message
     assert common.summary() in message
 
@@ -286,7 +287,8 @@ def test_self_transpose_colors_trace_half_the_vertices(monkeypatch):
         for h in (Hook(0, 0), Hook(1, 1), Hook(1, 0), Hook(0, 1), Hook(2, 1)):
             calls[0] = 0
             alexander(h, b)
-            assert calls[0] == ((m + 1) // 2 if h.arm == h.leg else m), (h, m)
+            # only interior vertices are traced; the end vertices are read in closed form
+            assert calls[0] == ((m - 1) // 2 if h.arm == h.leg else m - 2), (h, m)
 
 
 def test_failed_mirror_names_the_vertex(monkeypatch):
@@ -295,9 +297,9 @@ def test_failed_mirror_names_the_vertex(monkeypatch):
 
     monkeypatch.setattr("hookalex.evaluator.trace_product", patched)
     with pytest.raises(InexactDivisionError) as exc:
-        alexander(Hook(0, 0), TREFOIL)
+        alexander(Hook(0, 0), KNOT4)  # vertex 2 is vertex 1 mirrored
     message = str(exc.value)
-    assert "vertex k=1" in message and len(message) < 300
+    assert "vertex k=2" in message and len(message) < 300
 
 
 def _full_vertex_sum(color, b):
@@ -327,6 +329,53 @@ def test_mirrored_vertices_match_the_full_vertex_sum(knots):
         for h in (Hook(0, 0), Hook(1, 1), Hook(2, 2)):
             res = alexander(h, b)
             assert (res.polynomial, res.contributions, res.denominator) == _full_vertex_sum(h, b)
+
+
+# -- end vertices in closed form --------------------------------------------------------------
+
+def _mirror_image(b):
+    return BraidWord(b.strands, tuple(-g for g in b.letters))
+
+
+def test_end_vertices_are_their_traces_lifted_by_common():
+    rng = random.Random(25)
+    braids = [torus_braid(2, 2 * j + 1) for j in range(1, 5)]
+    for m in range(2, 9):
+        for length in (m - 1, m + 3, 3 * m + 1):
+            b = random_knot(rng, m, length)
+            braids.append(b if b.writhe < 0 else _mirror_image(b))
+    braids += [_mirror_image(b) for b in braids[:4]]  # T(2, -(2j+1))
+    assert sum(b.writhe < 0 for b in braids) > len(braids) // 2
+    for b in braids:
+        m = b.strands
+        for h in hooks_up_to_size(3):
+            res = alexander(h, b)
+            common = exact_div(res.denominator, qnum_bullet(m, h.size))
+            graph = HookGraph(h, m)
+            for k in (0, m - 1):
+                num, den = trace_product([assemble_R(graph, k, abs(g), g < 0) for g in b.letters])
+                vertex = graph.vertex(m, k)
+                sign, _ = hook_weight(h, vertex)
+                assert den.is_one() and len(num.terms) == 1, (h, b, k)
+                assert res.contributions[k] == (vertex, common * num * sign), (h, b, k)
+
+
+@pytest.mark.parametrize("b", [TREFOIL, FIGURE8], ids=["2-strand", "3-strand"])
+def test_evaluation_reads_the_operator_entries(monkeypatch, b):
+    # the benchmark's tracer wraps BlockOperator.numerator_rows and expects it in
+    # every evaluation, a 2-strand knot's (no interior vertex) included
+    calls = [0]
+    numerator_rows = BlockOperator.numerator_rows
+
+    def counted(self):
+        calls[0] += 1
+        return numerator_rows(self)
+
+    monkeypatch.setattr(BlockOperator, "numerator_rows", counted)
+    for h in (Hook(0, 0), Hook(2, 1)):
+        calls[0] = 0
+        alexander(h, b)
+        assert calls[0] > 0, h
 
 
 def test_value_at_one_is_one(knots):
