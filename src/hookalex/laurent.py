@@ -14,7 +14,14 @@ denominator goes through `exact_div`, which fails loudly if the division is
 not exact; it runs on packed ints too.  `pack` and `unpack` map a
 polynomial in q**step to its value at q**step = 2**width and back
 (Kronecker substitution); the operator product runs on such packed ints and
-decodes its result once, each coefficient at its own size.
+decodes its result once, each coefficient at its own size.  At a
+machine-word width (8, 16, 32 or 64 bits) `pack_digits` and `unpack_digits`
+convert between an int and its whole digit list in one ``array`` call, and
+at any other width one digit per call.  `exact_div` and `power_product`,
+which each pack once at a width of their own choosing, round a width of at
+most 64 bits up to 16, 32 or 64 bits so that their digits take that path;
+the operator product keeps its least width, since every letter reuses its
+ints.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
 traces of its mirrored vertices.  `unit_normalize` brings a result to the
 canonical form that both the evaluator and the Burau oracle return.  `det`
@@ -26,6 +33,8 @@ exact division: the Burau oracle runs it on packed ints, the Schur oracle on
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Sequence, TypeVar
@@ -364,9 +373,28 @@ def qnum_bullet(n: int, base: int) -> LaurentPoly:
 # balanced base-2**width digits.  Packing a polynomial in q**step at that step
 # leaves out the step - 1 zero digits between its terms.
 
+# The signed array typecodes by item size in bytes: digits of 1, 2, 4 or 8
+# bytes are converted by one ``array`` call.  An array holds its words in the
+# host's byte order, so a big-endian host swaps them to the little-endian
+# order of the packed int's bytes.
+_WORD_CODES = {array(code).itemsize: code for code in "bhilq"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def packing_width(bound: int) -> int:
     """The least multiple of 8 bits whose signed digits hold every integer up to ``bound``."""
     return 8 * ((bound.bit_length() + 8) // 8)
+
+
+def _word_width(bound: int) -> int:
+    """A width that holds every integer up to ``bound``, in machine words up to 64 bits.
+
+    :func:`packing_width`, rounded up to 16, 32 or 64 bits when it is at
+    most 64, so that the digits take the one-call path of
+    :func:`pack_digits` and :func:`unpack_digits`; wider widths are kept.
+    """
+    width = packing_width(bound)
+    return width if width > 64 else max(16, 1 << (width - 1).bit_length())
 
 
 def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
@@ -374,9 +402,9 @@ def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
 
     ``width`` is a multiple of 8, ``step`` divides every exponent gap of
     ``p``, and every coefficient is below ``2**(width - 1)`` in absolute
-    value: each caller proves that its width holds them.  Each coefficient is
-    laid out as one biased digit of bytes and the digits are read as one int,
-    in time linear in its size.  A larger coefficient raises
+    value: each caller proves that its width holds them.  The coefficients
+    are laid out as digits of bytes by :func:`pack_digits` and read as one
+    int, in time linear in its size.  A larger coefficient raises
     :class:`OverflowError`.
 
     >>> pack(LaurentPoly(-1, (3, 0, -1)), 8) == 3 - 2**16
@@ -390,11 +418,24 @@ def pack(p: LaurentPoly, width: int, step: int = 1) -> int:
 def pack_digits(digits: Sequence[int], width: int) -> int:
     """``sum digits[i] * 2**(i * width)``, each digit below ``2**(width - 1)`` in absolute value.
 
-    The inverse of :func:`unpack_digits`, up to zero digits at the top.
+    The inverse of :func:`unpack_digits`, up to zero digits at the top.  At
+    a machine-word width one ``array`` lays the digits out in two's
+    complement; flipping each digit's top bit (``^ bias``) biases them, and
+    subtracting the bias leaves the balanced sum.  At any other width each
+    digit is biased and laid out by its own ``to_bytes``.  Either way a
+    digit out of range raises :class:`OverflowError`.
     """
-    size, half = width // 8, 1 << (width - 1)
-    raw = b"".join([(c + half).to_bytes(size, "little") for c in digits])
-    return int.from_bytes(raw, "little") - _bias(size, len(digits))
+    size = width // 8
+    bias = _bias(size, len(digits))
+    code = _WORD_CODES.get(size)
+    if code is None:
+        half = 1 << (width - 1)
+        return int.from_bytes(b"".join([(c + half).to_bytes(size, "little") for c in digits]),
+                              "little") - bias
+    words = array(code, digits)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return (int.from_bytes(words.tobytes(), "little") ^ bias) - bias
 
 
 def _bias(size: int, count: int) -> int:
@@ -409,15 +450,16 @@ def unpack(value: int, width: int, min_exp: int, step: int = 1) -> LaurentPoly:
     below ``2**(width - 1)`` in absolute value: adding ``2**(width - 1)`` to
     every digit makes all digits nonnegative with no carries, and clearing
     that bit again leaves each digit in two's complement, which one
-    ``to_bytes`` pass and a signed ``from_bytes`` per digit read off.  Each
-    coefficient is thus allocated at its own size, not at the width's.  The
-    digit count follows from the bit length: the bias of ``n`` digits lies in
-    ``[2**(width*n - 1), 2**(width*n - 1) * 256/255]``, so every ``|value| <
-    2**(width*n - 2)`` plus the bias is a nonnegative int of ``n`` digits.
-    Any ``value`` thus decodes to the balanced base-``2**width`` digits of
-    itself, the top digit perhaps 0.  A value just below ``2**(width*n -
-    1)`` may need ``n + 1`` digits: at width 8 the digits of ``32765`` are
-    ``-3, -128, 1``.
+    ``to_bytes`` pass lays out and :func:`unpack_digits` reads off: one
+    ``array`` call at a machine-word width, else a signed ``from_bytes`` per
+    digit.  Each coefficient is thus allocated at its own size, not at the
+    width's.  The digit count follows from the bit length: the bias of ``n``
+    digits lies in ``[2**(width*n - 1), 2**(width*n - 1) * 256/255]``, so
+    every ``|value| < 2**(width*n - 2)`` plus the bias is a nonnegative int
+    of ``n`` digits.  Any ``value`` thus decodes to the balanced
+    base-``2**width`` digits of itself, the top digit perhaps 0.  A value
+    just below ``2**(width*n - 1)`` may need ``n + 1`` digits: at width 8
+    the digits of ``32765`` are ``-3, -128, 1``.
 
     >>> unpack(pack(LaurentPoly(-1, (3, 0, -1)), 8), 8, -1)
     LaurentPoly('-q + 3q^-1')
@@ -436,9 +478,16 @@ def unpack_digits(value: int, width: int) -> list[int]:
     size = width // 8
     count = (abs(value).bit_length() + 1) // width + 1
     bias = _bias(size, count)
-    raw = memoryview(((value + bias) ^ bias).to_bytes(count * size, "little"))
-    return [int.from_bytes(raw[i:i + size], "little", signed=True)
-            for i in range(0, count * size, size)]
+    raw = ((value + bias) ^ bias).to_bytes(count * size, "little")
+    code = _WORD_CODES.get(size)
+    if code is None:
+        view = memoryview(raw)
+        return [int.from_bytes(view[i:i + size], "little", signed=True)
+                for i in range(0, count * size, size)]
+    words = array(code, raw)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words.tolist()
 
 
 def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:
@@ -449,14 +498,15 @@ def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:
     power with ``pow``; the powers are multiplied and the product is decoded
     once.  Every coefficient of the product is at most ``prod ||p||_1**n``,
     since ``||pr||_1 <= ||p||_1 ||r||_1`` and a coefficient is at most its
-    polynomial's 1-norm, and ``w`` is the least width that holds it.
+    polynomial's 1-norm, and ``w`` is a width that holds it: the least one,
+    rounded up to a machine word at 64 bits or less.
 
     >>> power_product([(qnum(2), 2), (qnum_bullet(3, 2), 1)])
     LaurentPoly('q^6 + 2q^4 + 2q^2 + 2 + 2q^-2 + 2q^-4 + q^-6')
     """
     if not factors:
         return LaurentPoly.one()
-    width = packing_width(math.prod([sum(map(abs, p.terms)) ** n for p, n in factors]))
+    width = _word_width(math.prod([sum(map(abs, p.terms)) ** n for p, n in factors]))
     step = math.gcd(*[p.step for p, _ in factors])
     value = math.prod([pow(pack(p, width, step), n) for p, n in factors])
     return unpack(value, width, sum([p.min_exp * n for p, n in factors]), step)
@@ -493,8 +543,9 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     The division runs on packed ints: both operands are polynomials in
     ``q**g``, ``g`` the gcd of their steps, up to a monomial, and so is the
-    quotient.  Pack both at ``q**g = 2**W``, with ``W`` the least width
-    holding ``||num||_inf * ||den||_1``, and take one ``divmod``.  If ``den``
+    quotient.  Pack both at ``q**g = 2**W``, with ``W`` a width holding
+    ``||num||_inf * ||den||_1`` (the least one, rounded up to a machine word
+    at 64 bits or less), and take one ``divmod``.  If ``den``
     divides ``num``, the packed ``den`` divides the packed ``num``
     (evaluation is a ring homomorphism), so a nonzero remainder proves the
     division inexact.  Otherwise decode the integer quotient: it is the value
@@ -515,7 +566,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     step = math.gcd(num.step, den.step)
     den_norm = sum(map(abs, den.terms))
-    width = packing_width(max(map(abs, num.terms)) * den_norm)
+    width = _word_width(max(map(abs, num.terms)) * den_norm)
     value, rem = divmod(pack(num, width, step), pack(den, width, step))
     if rem:
         raise _not_divisible(num, den)

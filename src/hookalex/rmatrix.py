@@ -67,11 +67,10 @@ denominator, ``[m]_N`` times the common one, goes through it too.  Every
 term of a trace lies in one class mod ``2N`` (proof in :func:`trace_product`),
 so its numerator is decoded at that grade, reading one digit in ``2N``, and a
 decoded coefficient too wide for one digit reveals a nonzero digit between.
-A trace on one path that no doublet touched, as at either end vertex, needs
-no decoding: its packed column is still the identity's 1, and the trace is
-the column's pending signed monomial.  Only direct callers reach this read:
-the evaluator takes an end vertex's trace off its operators' single entries
-and runs the product only at interior vertices.
+The evaluator takes the trace at either end vertex, whose one path no
+doublet touches, off its operators' single entries and runs the product only
+at interior vertices; a direct call on such a product decodes its identity
+column like any other.
 """
 
 from __future__ import annotations
@@ -535,14 +534,12 @@ def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     highest nonzero one is ``d_j``, ``j >= 1``, the digits below it add up
     to less than ``2**(j * width - 1)`` in absolute value, so ``|D| >
     2**(j * width - 1) >= 2**(width - 1)``.  The width proof puts every
-    coefficient strictly inside that range, so a decoded coefficient with
-    ``bit_length() >= width`` is a digit off the grade.  At grade 1 this is
-    the plain decode, and the check fires only on what the width proof
-    excludes.
+    coefficient strictly inside that range, so a decoded coefficient of
+    ``2**(width - 1)`` or more in absolute value is a digit off the grade.
+    At grade 1 this is the plain decode, and the check fires only on what
+    the width proof excludes.
     """
     cols, width, neg, exps, den, grade = _packed_product(ops)
-    if cols == [[1]]:  # one path that no doublet touched: the trace is its pending factor
-        return Trace(LaurentPoly.monomial(-1 if neg & 1 else 1, exps[0]), den)
     base = min(exps)
     total = 0
     for c, (col, e) in enumerate(zip(cols, exps)):
@@ -551,7 +548,8 @@ def trace_product(ops: Sequence[BlockOperator]) -> Trace:
     # drop the zero digits below the lowest term, whose lowest set bit lies in its own digit
     low = ((total & -total).bit_length() - 1) // width if total else 0
     num = unpack(total >> low * width, grade * width, base + low, grade)
-    if any(c.bit_length() >= width for c in num.terms):
+    top = 1 << (width - 1)
+    if num.terms and (max(num.terms) >= top or min(num.terms) <= -top):
         raise InexactDivisionError(
             f"trace of {len(ops)} operators on a path basis of {len(cols)}: a digit off "
             f"the q^{grade} grade is nonzero (width {width})")

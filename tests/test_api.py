@@ -67,3 +67,40 @@ def test_every_src_name_has_a_src_caller():
                 if (module, name) not in NEEDS_NO_CALLER
                 and not any(name in names for t, names in used if t is not s)]
     assert not uncalled, f"defined in src but named only by tests or by nothing: {uncalled}"
+
+
+def _called_name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_cache_is_bounded_by_a_named_constant():
+    # Caches are bounded: each lru_cache in src takes its maxsize from a
+    # module-level int constant, and the unbounded functools.cache is not used.
+    package = Path(hookalex.__file__).resolve().parent
+    problems, caches = [], 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {t.id: s.value.value for s in tree.body
+                     if isinstance(s, ast.Assign) and isinstance(s.value, ast.Constant)
+                     for t in s.targets if isinstance(t, ast.Name)}
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node.func) == "lru_cache":
+                sizes = node.args + [k.value for k in node.keywords if k.arg == "maxsize"]
+                named = len(sizes) == 1 and isinstance(sizes[0], ast.Name)
+                size = constants.get(sizes[0].id) if named else None
+                if type(size) is int and size > 0:
+                    bounded.add(node.func)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                problems += [f"{path.name}:{node.lineno}: functools.cache"
+                             for alias in node.names if alias.name == "cache"]
+            if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                    and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                problems.append(f"{path.name}:{node.lineno}: functools.cache")
+        for node in ast.walk(tree):
+            if _called_name(node) == "lru_cache" and isinstance(node, (ast.Name, ast.Attribute)):
+                caches += 1
+                if node not in bounded:
+                    problems.append(f"{path.name}:{node.lineno}: lru_cache without a named "
+                                    f"positive int maxsize")
+    assert caches and not problems, problems

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from hookalex.braid import (BraidWord, GeneratorOutOfRangeError,
                             MalformedTokenError, ZeroLetterError,
                             closure_is_knot, parse_braid, render_braid)
 
-from conftest import conjugate, markov_variants, stabilize
+from conftest import conjugate, corpus, markov_variants, stabilize
 
 
 @st.composite
@@ -68,6 +70,24 @@ def test_closure_three_cycle():
 
 def test_closure_even_two_strand_is_link():
     assert not closure_is_knot(parse_braid("1 1", 2))
+
+
+def test_corpus_knot_check_agrees_with_closure_is_knot():
+    # The benchmark corpus imports nothing from hookalex, so it keeps its own
+    # copy of the knot check; on every pool entry and on seeded random words,
+    # knots and links both, the copy and the program agree.
+    pools = [(e.strands, e.letters) for w in corpus.WORKLOADS
+             for stratum in corpus.pool(w) for e in stratum]
+    rng = random.Random(20261020)
+    words = []
+    for _ in range(600):
+        m = rng.randint(2, 8)
+        words.append((m, tuple([rng.choice((1, -1)) * rng.randint(1, m - 1)
+                                for _ in range(rng.randint(0, 3 * m))])))
+    found = [corpus.is_knot(m, letters) for m, letters in pools + words]
+    assert found == [closure_is_knot(BraidWord(m, letters)) for m, letters in pools + words]
+    assert all(found[:len(pools)])
+    assert {True, False} <= set(found[len(pools):])
 
 
 # -- Markov moves -----------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookalex import laurent
-from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, poly_sum,
-                              power_product, qnum, qnum_bullet, unpack, unpack_digits)
+from hookalex.laurent import (InexactDivisionError, LaurentPoly, exact_div, pack, pack_digits,
+                              poly_sum, power_product, qnum, qnum_bullet, unpack, unpack_digits)
 
 from conftest import evaluate
 
@@ -307,10 +307,11 @@ def test_division_across_steps_and_offsets():
 
 
 def test_a_quotient_past_the_width_falls_back_to_the_schoolbook_loop(monkeypatch):
-    # ||num||_inf * ||den||_1 = 3 * 8 fits 8 bits, but the quotient's
-    # coefficients reach 1200: its packed value carries, and is not accepted.
+    # ||num||_inf * ||den||_1 = 3 * 8 fits 8 bits, rounded up to a 16-bit
+    # word, but the quotient's coefficients reach 4800, and 4800 * 8 does not
+    # fit: its packed value carries, and is not accepted.
     one, q = LaurentPoly.one(), LaurentPoly.monomial(1, 1)
-    num, den = (one - q ** 40) ** 3, (one - q) ** 3
+    num, den = (one - q ** 80) ** 3, (one - q) ** 3
     ran = []
     schoolbook = laurent._schoolbook_div
 
@@ -321,10 +322,10 @@ def test_a_quotient_past_the_width_falls_back_to_the_schoolbook_loop(monkeypatch
     monkeypatch.setattr(laurent, "_schoolbook_div", spy)
     quo = exact_div(num, den)
     assert ran == [(num, den)]
-    assert quo == LaurentPoly(0, (1,) * 40) ** 3 and quo * den == num
-    assert max(quo.terms) >= 2 ** 7
+    assert quo == LaurentPoly(0, (1,) * 80) ** 3 and quo * den == num
+    assert max(quo.terms) * 8 >= 2 ** 15
     ran.clear()
-    assert exact_div(num, one - q) == (one - q) ** 2 * LaurentPoly(0, (1,) * 40) ** 3
+    assert exact_div(num, one - q) == (one - q) ** 2 * LaurentPoly(0, (1,) * 80) ** 3
     assert not ran  # a small quotient is accepted from the packed division
 
 
@@ -450,21 +451,51 @@ def test_unpack_reads_a_carry_past_the_bit_length():
     assert unpack(32765, 8, 0) == LaurentPoly(0, (-3, -128, 1))
 
 
-@given(st.integers(-2 ** 70, 2 ** 70), st.sampled_from([8, 16, 24]))
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_unpack_reads_a_carry_past_the_bit_length_in_machine_words(width):
+    # 2**(2w - 1) - 3 is below two digits' bit length, but its balanced
+    # digits are -3, -2**(w - 1), 1
+    value = 2 ** (2 * width - 1) - 3
+    assert unpack_digits(value, width) == [-3, -2 ** (width - 1), 1]
+    assert unpack_digits(-value, width) == [3, -2 ** (width - 1), 0]
+
+
+# the machine-word widths take the one-call path of the codec, the others one
+# call per digit
+WIDTHS = [8, 16, 24, 32, 40, 64, 72]
+
+
+@given(st.integers(-2 ** 70, 2 ** 70), st.sampled_from(WIDTHS))
 def test_unpack_digits_of_any_int_are_its_balanced_digits(value, width):
     digits = unpack_digits(value, width)
     assert all(-2 ** (width - 1) <= c < 2 ** (width - 1) for c in digits)
     assert sum(c << width * i for i, c in enumerate(digits)) == value
 
 
-@given(polys, st.sampled_from([8, 16, 24]), st.integers(1, 3))
+@given(st.sampled_from(WIDTHS).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.integers(-2 ** (w - 1), 2 ** (w - 1) - 1), max_size=12))))
+def test_pack_digits_is_the_digit_sum(case):
+    width, digits = case
+    assert pack_digits(digits, width) == sum(c << width * i for i, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 24])
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_pack_digits_refuses_a_digit_out_of_range(width, side):
+    # the balanced digits run from -2**(w - 1) to 2**(w - 1) - 1
+    digit = 2 ** (width - 1) if side == "above" else -2 ** (width - 1) - 1
+    with pytest.raises(OverflowError):
+        pack_digits([1, digit, -1], width)
+
+
+@given(polys, st.sampled_from(WIDTHS), st.integers(1, 3))
 def test_pack_roundtrip_in_a_power_of_q(p, width, k):
     a = p.substitute_power(k)
     assert unpack(pack(a, width, k), width, a.min_exp, k) == a
     assert pack(a, width, k) == pack(p, width)
 
 
-@given(polys, st.sampled_from([8, 16, 24]))
+@given(polys, st.sampled_from(WIDTHS))
 def test_pack_roundtrip(p, width):
     assert unpack(pack(p, width), width, p.min_exp) == p
 

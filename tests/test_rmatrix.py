@@ -467,9 +467,10 @@ def test_memoized_denominator_products_match_power_product_and_dense_products():
         assert trace_product(ops).den == dense
 
 
-def test_one_path_traces_are_read_from_their_factor(monkeypatch):
+def test_one_path_traces_are_read_from_their_factor():
     # Both end vertices have a basis of one path that no doublet touches: the
-    # trace is the column's pending signed monomial, read with no decoding.
+    # packed column stays the identity's 1, and the general decode reads the
+    # trace off the column's pending signed monomial.
     rng = random.Random(20261021)
     products = []
     for m in range(2, 7):
@@ -479,11 +480,7 @@ def test_one_path_traces_are_read_from_their_factor(monkeypatch):
             products += [[assemble_R(g, k, abs(x), x < 0) for x in letters] for k in (0, m - 1)]
     assert all(len(ops[0]) == 1 for ops in products)
     expected = [_dense_trace(ops) for ops in products]
-
-    def refuse(*args):
-        raise AssertionError("a one-path trace was decoded")
-
-    monkeypatch.setattr(rmatrix, "unpack", refuse)
+    assert all(len(num.terms) == 1 for num, _ in expected)
     assert [tuple(trace_product(ops)) for ops in products] == expected
 
 
