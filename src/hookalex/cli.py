@@ -28,7 +28,7 @@ MAX_MESSAGE = 200
 
 # The largest --max-hook-size of a table sweep.  The sweep evaluates
 # S(S+1)/2 hooks per knot, each costlier as S grows: on the default corpus
-# size 60 takes 4.9 s, size 110 takes 15 s and size 120 takes 21 s on one
+# size 60 takes 2.6 s, size 110 takes 10 s and size 120 takes 12 s on one
 # Xeon core, so larger sweeps are refused before any record is printed.
 MAX_TABLE_HOOK_SIZE = 110
 

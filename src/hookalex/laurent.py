@@ -26,8 +26,8 @@ ints.
 traces of its mirrored vertices.  `unit_normalize` brings a result to the
 canonical form that both the evaluator and the Burau oracle return.  `det`
 is the one determinant routine, Bareiss elimination over any ring with an
-exact division: the Burau oracle runs it on packed ints, the Schur oracle on
-`Fraction` values.
+exact division: the Burau oracle runs it on packed ints, and the tests'
+Jacobi-Trudi check on `Fraction` values.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""Quantum dimensions at the topological locus and their A -> 1 limits.
+"""Quantum dimensions at the topological locus in the A -> 1 limit.
 
 The quantum dimension of a diagram is a product over boxes: each box with
 content ``c`` and hook length ``h`` contributes ``(A q^c - A^-1 q^-c)`` to the
-numerator and ``(q^h - q^-h)`` to the denominator.  We keep these as factor
-lists rather than expanding a bivariate polynomial; the number of vanishing
+numerator and ``(q^h - q^-h)`` to the denominator.  The number of vanishing
 numerator factors at A = 1 is exactly the diagonal length, so ratios of
 quantum dimensions at A = 1 reduce to cancelling literally identical zero
 factors and evaluating what survives.
@@ -13,48 +12,72 @@ m-th tensor power the surviving ratio is ``(-1)^(l+s) [N] / [mN]`` with
 ``N = a + l + 1``, which is ``(-1)^(l+s) / [m]_N`` since ``[mN]/[N] = [m]_N``
 (the q-number at q -> q^N); any summand with diagonal length two or more
 contributes zero.  The evaluator takes its weights from that closed form
-(:func:`hookalex.evaluator.hook_weight`); the factor lists, and the
-Jacobi-Trudi determinant over complete homogeneous functions built from the
-power sums, are the independent oracle for it, so this module imports nothing
-from the evaluator or the operators, and evaluating a knot never loads it.  A
-ratio is an integer pair ``(num, den)`` of Laurent polynomials, compared by
-cross-multiplying; the power sums, the complete homogeneous functions and the
-determinant are `Fraction` values at a rational point ``(A, q)``, the
-determinant taken by :func:`hookalex.laurent.det`.
+(:func:`hookalex.evaluator.hook_weight`); the ratio below, taken box by box
+over general partitions, is the independent oracle for it, so this module
+imports nothing from the evaluator or the operators, and evaluating a knot
+never loads it.  A ratio is an integer pair ``(num, den)`` of Laurent
+polynomials, compared by cross-multiplying.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
-from .laurent import LaurentPoly, det
-from .young import Hook, Partition
+from .laurent import LaurentPoly
+from .young import Hook
 
 
 @dataclass(frozen=True)
-class TopoFactorList:
-    """Factorized quantum dimension: numerator contents, denominator hook lengths."""
+class Partition:
+    """A weakly decreasing tuple of positive integers."""
 
-    contents: tuple[int, ...]
-    hook_lengths: tuple[int, ...]
+    parts: tuple[int, ...]
 
-    def zero_order_at_a1(self) -> int:
-        """Vanishing order of the numerator at A = 1 (count of content-0 factors)."""
-        return sum(1 for c in self.contents if c == 0)
+    def __post_init__(self):
+        parts = tuple(self.parts)
+        object.__setattr__(self, "parts", parts)
+        if any(p <= 0 for p in parts):
+            raise ValueError(f"partition parts must be positive: {parts}")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
-    def evaluate(self, a: Fraction, q: Fraction) -> Fraction:
-        value = Fraction(1)
-        for c in self.contents:
-            value *= a * q ** c - (a * q ** c) ** -1
-        for h in self.hook_lengths:
-            value /= q ** h - q ** -h
-        return value
+    @property
+    def size(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def diagonal_length(self) -> int:
+        """Number of boxes (i, i) on the main diagonal."""
+        return sum(1 for i, p in enumerate(self.parts) if p > i)
+
+    def column_lengths(self) -> tuple[int, ...]:
+        if not self.parts:
+            return ()
+        return tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
+
+    def boxes(self) -> Iterator[tuple[int, int]]:
+        """(row, column) pairs, 0-indexed, in reading order."""
+        for i, p in enumerate(self.parts):
+            for j in range(p):
+                yield i, j
+
+    def contents(self) -> tuple[int, ...]:
+        """Per-box content j - i, in reading order."""
+        return tuple(j - i for i, j in self.boxes())
+
+    def hook_lengths(self) -> tuple[int, ...]:
+        """Per-box hook length (arm + leg + 1), in reading order."""
+        cols = self.column_lengths()
+        return tuple(self.parts[i] - j + cols[j] - i - 1 for i, j in self.boxes())
+
+    def __str__(self) -> str:
+        return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
-def topological_factors(nu: Partition) -> TopoFactorList:
-    """One (content, hook length) factor pair per box of ``nu``."""
-    return TopoFactorList(nu.contents(), nu.hook_lengths())
+def hook_partition(h: Hook) -> Partition:
+    """The hook ``(a, l)`` as the partition ``[a+1, 1, ..., 1]`` of ``l + 1`` rows."""
+    return Partition((h.arm + 1,) + (1,) * h.leg)
 
 
 def _difference(exp: int) -> LaurentPoly:
@@ -87,60 +110,9 @@ def ratio_at_A1(color: Hook, mu: Partition) -> tuple[LaurentPoly, LaurentPoly]:
             num = num * _difference(c)
     for h in mu.hook_lengths():
         den = den * _difference(h)
-    for h in color.as_partition().hook_lengths():
+    for h in hook_partition(color).hook_lengths():
         num = num * _difference(h)
-    for c in color.as_partition().contents():
+    for c in hook_partition(color).contents():
         if c != 0:
             den = den * _difference(c)
     return num, den
-
-
-@dataclass(frozen=True)
-class PowerSumSpec:
-    """Power-sum values p_1..p_degree feeding the Jacobi-Trudi oracle."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.values)
-
-    def p(self, k: int) -> Fraction:
-        if not 1 <= k <= self.degree:
-            raise ValueError(f"power sum p_{k} outside degree bound {self.degree}")
-        return self.values[k - 1]
-
-
-def topological_power_sums(a: Fraction, q: Fraction, degree: int) -> PowerSumSpec:
-    """p_k = (A^k - A^-k)/(q^k - q^-k) at the rational point (A, q)."""
-    return PowerSumSpec(tuple([(a ** k - a ** -k) / (q ** k - q ** -k)
-                               for k in range(1, degree + 1)]))
-
-
-def complete_homogeneous(spec: PowerSumSpec, max_degree: int) -> list[Fraction]:
-    """h_0..h_max_degree from Newton's identity n*h_n = sum_k p_k h_(n-k)."""
-    if max_degree > spec.degree:
-        raise ValueError(f"need power sums up to p_{max_degree}, have {spec.degree}")
-    hs = [Fraction(1)]
-    for n in range(1, max_degree + 1):
-        hs.append(sum([spec.p(k) * hs[n - k] for k in range(1, n + 1)], Fraction(0)) / n)
-    return hs
-
-
-def jacobi_trudi_schur(nu: Partition, spec: PowerSumSpec) -> Fraction:
-    """Schur value via det(h_(nu_i - i + j)); independent oracle for factor lists.
-
-    >>> ps = topological_power_sums(Fraction(2), Fraction(3, 2), 2)
-    >>> jacobi_trudi_schur(Partition((1,)), ps) == ps.p(1)
-    True
-    """
-    if not nu.parts:
-        return Fraction(1)
-    rows = len(nu.parts)
-    hs = complete_homogeneous(spec, nu.parts[0] + rows - 1)
-
-    def h(k: int) -> Fraction:
-        return Fraction(0) if k < 0 else hs[k]
-
-    mat = [[h(nu.parts[i] - (i + 1) + (j + 1)) for j in range(rows)] for i in range(rows)]
-    return det(mat, lambda x, y: x / y, Fraction(0), Fraction(1))

@@ -1,4 +1,4 @@
-"""One-hook Young diagrams, general partitions, and the layered hook graph.
+"""One-hook Young diagrams and the layered hook graph.
 
 A one-hook (L-shape) diagram ``(a, l)`` has one row of ``a + 1`` boxes and one
 column of ``l + 1`` boxes sharing the corner.  Tensoring two hooks and keeping
@@ -19,14 +19,14 @@ from typing import Iterator
 from .braid import BraidError, excerpt_int
 
 # The most strands the engine evaluates.  Its cost grows as 2^(m-1), the size
-# of the path bases: the fundamental invariant of a random 33-letter 10-strand
-# knot takes 16 s on one Xeon core, and 12 strands take minutes, so larger
-# counts are refused up front, before any path basis is built.
+# of the path bases: the fundamental invariant of a random 33-letter knot takes
+# 0.5-1.6 s on 10 strands and 18-29 s on 12 strands on one Xeon core, so
+# larger counts are refused up front, before any path basis is built.
 MAX_STRANDS = 10
 
 # The largest hook size N the engine evaluates.  The operators' exponents, and
 # with them the packed ints of every product, grow linearly in N: a random
-# 161-letter 4-strand knot takes 1.6 s at N = 100 and 15 s at N = 700 on one
+# 161-letter 4-strand knot takes 0.8 s at N = 100 and 6.8 s at N = 700 on one
 # Xeon core, and ten million boxes exhaust a 1 GB address space, so larger
 # hooks are refused up front, before any operator is built.
 MAX_HOOK_SIZE = 700
@@ -83,58 +83,8 @@ class Hook:
     def size(self) -> int:
         return self.arm + self.leg + 1
 
-    def as_partition(self) -> Partition:
-        return Partition((self.arm + 1,) + (1,) * self.leg)
-
     def __str__(self) -> str:
         return f"({self.arm},{self.leg})"
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def diagonal_length(self) -> int:
-        """Number of boxes (i, i) on the main diagonal."""
-        return sum(1 for i, p in enumerate(self.parts) if p > i)
-
-    def column_lengths(self) -> tuple[int, ...]:
-        if not self.parts:
-            return ()
-        return tuple(sum(1 for p in self.parts if p > j) for j in range(self.parts[0]))
-
-    def boxes(self) -> Iterator[tuple[int, int]]:
-        """(row, column) pairs, 0-indexed, in reading order."""
-        for i, p in enumerate(self.parts):
-            for j in range(p):
-                yield i, j
-
-    def contents(self) -> tuple[int, ...]:
-        """Per-box content j - i, in reading order."""
-        return tuple(j - i for i, j in self.boxes())
-
-    def hook_lengths(self) -> tuple[int, ...]:
-        """Per-box hook length (arm + leg + 1), in reading order."""
-        cols = self.column_lengths()
-        return tuple(self.parts[i] - j + cols[j] - i - 1 for i, j in self.boxes())
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
 def hooks_up_to_size(max_size: int) -> Iterator[Hook]:

@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, settings
 from hookalex.braid import BraidWord, closure_is_knot
 from hookalex.cli import DEFAULT_TABLE_BRAIDS, parse_table_braids
 from hookalex.evaluator import hook_weight
-from hookalex.laurent import LaurentPoly, qnum_bullet
+from hookalex.laurent import LaurentPoly, det, qnum_bullet
 from hookalex.rmatrix import assemble_R, framing_exponent
-from hookalex.young import Hook, HookGraph, Partition
+from hookalex.schur import Partition
+from hookalex.young import Hook, HookGraph
 
 # The seeded knot words and the torus closed form are the benchmark's own.  Its
 # modules import nothing from hookalex; appending the checkout's root reaches
@@ -56,6 +57,84 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield Partition((first,) + rest.parts)
 
 
+# -- the Jacobi-Trudi oracle: Schur values at a rational point (A, q) -------------------------
+
+@dataclass(frozen=True)
+class TopoFactorList:
+    """Factorized quantum dimension: numerator contents, denominator hook lengths."""
+
+    contents: tuple[int, ...]
+    hook_lengths: tuple[int, ...]
+
+    def zero_order_at_a1(self) -> int:
+        """Vanishing order of the numerator at A = 1 (count of content-0 factors)."""
+        return sum(1 for c in self.contents if c == 0)
+
+    def evaluate(self, a: Fraction, q: Fraction) -> Fraction:
+        value = Fraction(1)
+        for c in self.contents:
+            value *= a * q ** c - (a * q ** c) ** -1
+        for h in self.hook_lengths:
+            value /= q ** h - q ** -h
+        return value
+
+
+def topological_factors(nu: Partition) -> TopoFactorList:
+    """One (content, hook length) factor pair per box of ``nu``."""
+    return TopoFactorList(nu.contents(), nu.hook_lengths())
+
+
+@dataclass(frozen=True)
+class PowerSumSpec:
+    """Power-sum values p_1..p_degree feeding the Jacobi-Trudi oracle."""
+
+    values: tuple[Fraction, ...]
+
+    @property
+    def degree(self) -> int:
+        return len(self.values)
+
+    def p(self, k: int) -> Fraction:
+        if not 1 <= k <= self.degree:
+            raise ValueError(f"power sum p_{k} outside degree bound {self.degree}")
+        return self.values[k - 1]
+
+
+def topological_power_sums(a: Fraction, q: Fraction, degree: int) -> PowerSumSpec:
+    """p_k = (A^k - A^-k)/(q^k - q^-k) at the rational point (A, q)."""
+    return PowerSumSpec(tuple([(a ** k - a ** -k) / (q ** k - q ** -k)
+                               for k in range(1, degree + 1)]))
+
+
+def complete_homogeneous(spec: PowerSumSpec, max_degree: int) -> list[Fraction]:
+    """h_0..h_max_degree from Newton's identity n*h_n = sum_k p_k h_(n-k)."""
+    if max_degree > spec.degree:
+        raise ValueError(f"need power sums up to p_{max_degree}, have {spec.degree}")
+    hs = [Fraction(1)]
+    for n in range(1, max_degree + 1):
+        hs.append(sum([spec.p(k) * hs[n - k] for k in range(1, n + 1)], Fraction(0)) / n)
+    return hs
+
+
+def jacobi_trudi_schur(nu: Partition, spec: PowerSumSpec) -> Fraction:
+    """Schur value via det(h_(nu_i - i + j)); independent oracle for factor lists.
+
+    >>> ps = topological_power_sums(Fraction(2), Fraction(3, 2), 2)
+    >>> jacobi_trudi_schur(Partition((1,)), ps) == ps.p(1)
+    True
+    """
+    if not nu.parts:
+        return Fraction(1)
+    rows = len(nu.parts)
+    hs = complete_homogeneous(spec, nu.parts[0] + rows - 1)
+
+    def h(k: int) -> Fraction:
+        return Fraction(0) if k < 0 else hs[k]
+
+    mat = [[h(nu.parts[i] - (i + 1) + (j + 1)) for j in range(rows)] for i in range(rows)]
+    return det(mat, lambda x, y: x / y, Fraction(0), Fraction(1))
+
+
 def evaluate(p: LaurentPoly, q):
     """``p`` at a nonzero number ``q``; exact when ``q`` is an int or a Fraction."""
     if isinstance(q, int):
@@ -85,21 +164,6 @@ def corpus_knots() -> list[BraidWord]:
 @pytest.fixture(scope="session")
 def knots() -> list[BraidWord]:
     return corpus_knots()
-
-
-def random_knot_braids(count: int, max_strands: int = 4, max_length: int = 12,
-                       seed: int = 20240901) -> list[BraidWord]:
-    """Deterministic sample of random braid words whose closures are knots."""
-    rng = random.Random(seed)
-    out: list[BraidWord] = []
-    while len(out) < count:
-        m = rng.randint(2, max_strands)
-        gens = [g for i in range(1, m) for g in (i, -i)]
-        length = rng.randint(1, max_length)
-        b = BraidWord(m, tuple(rng.choice(gens) for _ in range(length)))
-        if closure_is_knot(b):
-            out.append(b)
-    return out
 
 
 # -- Markov moves: variants whose closures are the same knot ---------------------------------

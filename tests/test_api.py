@@ -34,10 +34,12 @@ def test_public_api_is_pinned_and_imports():
 
 # Module-level names that need no caller in src: the package's export list and
 # the console script.  The Schur oracle runs only in tests, but the benchmark's
-# tracer imports hookalex.schur and wraps ratio_at_A1, so the module stays whole
-# until the tracer drops that wrap (ROADMAP direction 5).
+# tracer imports hookalex.schur and wraps ratio_at_A1, so that function and what
+# it reads stay in src until the tracer drops the wrap (ROADMAP direction 5);
+# the rest of the oracle, Jacobi-Trudi included, lives in tests/conftest.py.
 NEEDS_NO_CALLER = {("__init__", "__all__"), ("cli", "main")}
 EXEMPT_MODULES = {"schur"}
+SCHUR_NAMES = ["Partition", "hook_partition", "ratio_at_A1"]
 
 
 def _definitions(statement):
@@ -67,6 +69,14 @@ def test_every_src_name_has_a_src_caller():
                 if (module, name) not in NEEDS_NO_CALLER
                 and not any(name in names for t, names in used if t is not s)]
     assert not uncalled, f"defined in src but named only by tests or by nothing: {uncalled}"
+
+
+def test_the_exempt_module_holds_only_what_the_tracer_reads():
+    # the exemption above covers these names only: any other public name in
+    # hookalex.schur would be a test-only helper in src
+    path = Path(hookalex.__file__).resolve().parent / "schur.py"
+    names = {name for s in ast.parse(path.read_text()).body for name in _definitions(s)}
+    assert sorted(n for n in names if not n.startswith("_")) == SCHUR_NAMES
 
 
 def _called_name(node):

@@ -10,11 +10,11 @@ import pytest
 
 from hookalex import schur
 from hookalex.laurent import LaurentPoly, qnum
-from hookalex.schur import (jacobi_trudi_schur, ratio_at_A1, topological_factors,
-                            topological_power_sums, PowerSumSpec)
-from hookalex.young import Hook, Partition, hooks_up_to_size
+from hookalex.schur import Partition, hook_partition, ratio_at_A1
+from hookalex.young import Hook, hooks_up_to_size
 
-from conftest import SCHUR_POINTS, partitions_of, ratio_closed_form, same_ratio
+from conftest import (SCHUR_POINTS, PowerSumSpec, jacobi_trudi_schur, partitions_of,
+                      ratio_closed_form, same_ratio, topological_factors, topological_power_sums)
 
 
 # -- factor lists ---------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_two_box_row_factors():
 
 def test_hook_corner_factor_is_size():
     for h in hooks_up_to_size(5):
-        fl = topological_factors(h.as_partition())
+        fl = topological_factors(hook_partition(h))
         assert fl.hook_lengths.count(h.size) == 1
         assert len(fl.contents) == len(fl.hook_lengths) == h.size
 
@@ -69,7 +69,7 @@ def test_ratio_matches_closed_form():
     for color in hooks_up_to_size(12):
         for total in range(color.size, 13, color.size):
             for mu in (h for h in hooks_up_to_size(total) if h.size == total):
-                got = ratio_at_A1(color, mu.as_partition())
+                got = ratio_at_A1(color, hook_partition(mu))
                 assert same_ratio(got, ratio_closed_form(color, mu)), (color, mu)
 
 

@@ -4,9 +4,10 @@ from math import comb
 import pytest
 
 from hookalex.braid import BraidError
+from hookalex.schur import Partition, hook_partition
 from hookalex.young import (MAX_HOOK_SIZE, MAX_STRANDS, Hook, HookBudgetError, HookGraph,
-                            Partition, StrandBudgetError, check_hook_size, check_strands,
-                            enumerate_paths, hooks_up_to_size)
+                            StrandBudgetError, check_hook_size, check_strands, enumerate_paths,
+                            hooks_up_to_size)
 
 from conftest import partitions_of
 
@@ -27,7 +28,7 @@ def test_hook_basics():
     h = Hook(2, 1)
     assert h.size == 4
     assert str(h) == "(2,1)"
-    assert h.as_partition() == Partition((3, 1))
+    assert hook_partition(h) == Partition((3, 1))
     with pytest.raises(ValueError):
         Hook(-1, 0)
 
@@ -234,7 +235,7 @@ def test_partition_stats_square():
 
 def test_hook_corner_hook_length_is_size():
     for h in hooks_up_to_size(6):
-        p = h.as_partition()
+        p = hook_partition(h)
         assert p.hook_lengths()[0] == h.size
         assert p.hook_lengths().count(h.size) == 1
         assert p.diagonal_length == 1
@@ -242,7 +243,7 @@ def test_hook_corner_hook_length_is_size():
 
 def test_hook_partition_roundtrip():
     for h in hooks_up_to_size(5):
-        p = h.as_partition()
+        p = hook_partition(h)
         assert (p.parts[0] - 1, len(p.parts) - 1) == (h.arm, h.leg)
         assert p.diagonal_length == 1 and p.size == h.size
 
