@@ -3,13 +3,17 @@
 A braid on ``m`` strands is a sequence of nonzero letters ``g`` with
 ``1 <= |g| <= m - 1``; the sign is the crossing sign.  The engine only
 evaluates braids whose closure is a knot (a single cycle), so links are
-rejected up front.
+rejected up front.  What the engine reads of a word besides its letters, its
+knot check, letter counts and writhe, is computed once per word and kept on
+it: the CLI's table run evaluates one parsed word for every hook, twice.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 
 # The most characters of an input, and the most digits of an integer from
@@ -75,6 +79,13 @@ class NotAKnotError(BraidError):
 
 @dataclass(frozen=True)
 class BraidWord:
+    """A braid word on ``strands`` strands.
+
+    ``is_knot``, ``counts`` and ``writhe`` are computed on first use and kept
+    outside the fields, so equality and hashing see only the strands and
+    letters.
+    """
+
     strands: int
     letters: tuple[int, ...]
 
@@ -90,9 +101,40 @@ class BraidWord:
                     f"generator {excerpt_int(g)} out of range for "
                     f"{excerpt_int(self.strands)} strands")
 
-    @property
+    @cached_property
+    def is_knot(self) -> bool:
+        """True iff the closure is a single component, i.e. the strand permutation is one m-cycle.
+
+        Each letter is a transposition, and an m-cycle is a product of at least
+        ``m - 1`` of them, so a braid of fewer letters closes to a link before
+        any slot per strand is allocated.
+        """
+        if len(self.letters) < self.strands - 1:
+            return False
+        perm = list(range(self.strands))
+        for g in self.letters:
+            i = abs(g) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        seen = 1
+        j = perm[0]
+        while j != 0:
+            j = perm[j]
+            seen += 1
+        return seen == self.strands
+
+    @cached_property
+    def counts(self) -> Counter[int]:
+        """Each distinct letter's number of occurrences; callers must not mutate it."""
+        return Counter(self.letters)
+
+    @cached_property
     def writhe(self) -> int:
-        return sum(1 if g > 0 else -1 for g in self.letters)
+        """The sum of the crossing signs.
+
+        >>> parse_braid("1 -2 1 -2 -2", 3).writhe
+        -1
+        """
+        return sum(n if g > 0 else -n for g, n in self.counts.items())
 
     def __str__(self) -> str:
         return render_braid(self)
@@ -119,24 +161,8 @@ def render_braid(b: BraidWord) -> str:
 
 
 def closure_is_knot(b: BraidWord) -> bool:
-    """True iff the closure is a single component, i.e. the strand permutation is one m-cycle.
-
-    Each letter is a transposition, and an m-cycle is a product of at least
-    ``m - 1`` of them, so a braid of fewer letters closes to a link before
-    any slot per strand is allocated.
-    """
-    if len(b.letters) < b.strands - 1:
-        return False
-    perm = list(range(b.strands))
-    for g in b.letters:
-        i = abs(g) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = 1
-    j = perm[0]
-    while j != 0:
-        j = perm[j]
-        seen += 1
-    return seen == b.strands
+    """True iff the closure is a knot: :attr:`BraidWord.is_knot`, computed once per word."""
+    return b.is_knot
 
 
 def check_knot(b: BraidWord) -> None:
@@ -146,8 +172,9 @@ def check_knot(b: BraidWord) -> None:
     letters in its first EXCERPT characters.  Each letter is rendered through
     :func:`excerpt_int` and the word is never rendered whole, so a word with a
     letter past Python's limit on converting ints to strings is quoted too.
+    The check is computed once per word; a link raises on every call.
     """
-    if closure_is_knot(b):
+    if b.is_knot:
         return
     head, size = [], -1
     for g in b.letters:

@@ -19,14 +19,24 @@ doublet, else 1.  Every letter with ``|g| >= 2`` has a doublet at every
 interior vertex, so every interior vertex has the same denominator
 ``prod [|g|]_N`` over those letters, the common denominator.  It is taken
 from the first interior trace and every later one must equal it; 2 strands
-have no interior vertex, and their common denominator is 1.  An end vertex
-(``k = 0`` or ``m - 1``) has one path, all-arm or all-leg, which no doublet
-touches: there each letter's operator is the 1x1 matrix of one crossing
-eigenvalue ``+-q^(K+-N)``, or its inverse, over 1.  So the trace is the
-product of those signed monomials, each read once per distinct letter off
-its operator's single entry and raised to the letter's count, and the
-vertex's numerator, lifted to the common denominator, is that denominator
-shifted by the summed exponent and signed.  The terms are added as integer
+have no interior vertex, and their common denominator is 1.
+
+An end vertex (``k = 0`` or ``m - 1``) is read from the braid's writhe.
+Proof.  Its one path is all-arm at ``k = 0`` and all-leg at ``k = m - 1``,
+so every crossing of it steps arm-arm (resp. leg-leg) on both sides, and no
+doublet touches it.  Each positive letter's operator there is therefore the
+1x1 matrix of one and the same crossing eigenvalue ``lambda``, the arm one
+``phi q^N`` (resp. the leg one ``-phi q^-N``), over 1, and each negative
+letter's that of ``lambda^-1``.  The trace, their product, is ``lambda^(p -
+n)`` with ``p`` and ``n`` the numbers of positive and negative letters, that
+is ``lambda^writhe``.  With ``lambda = s q^e`` a signed monomial, it is
+``s^writhe q^(e * writhe)``.  So the evaluator reads ``lambda`` off one
+operator's single entry, letter 1's, and takes the writhe, which the braid
+word computes once (:attr:`hookalex.braid.BraidWord.writhe`); the vertex's
+numerator, lifted to the common denominator, is that denominator shifted by
+``e * writhe`` and signed by ``s^writhe``.
+
+The terms are added as integer
 Laurent polynomials in one pass (:func:`hookalex.laurent.poly_sum`); a single
 exact division by ``[m]_N`` times the common denominator finishes the sum.
 That product comes from :func:`hookalex.rmatrix.den_product`, memoized by
@@ -84,7 +94,6 @@ operator product there would return.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,19 +182,19 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
     check_knot(b)
     m = b.strands
     graph, vertices = vertex_plan(color, m)
-    counts = Counter(b.letters)
     interior: list[Trace] = []  # the trace at vertex k is interior[k - 1]
     for k in range(1, m - 1):
         if color.arm == color.leg and 2 * k > m - 1:
             trace = _mirror(interior[m - 2 - k], k)
         else:
             ops = vertices[k][2]
-            for g in counts.keys() - ops.keys():
+            for g in b.counts.keys() - ops.keys():
                 ops[g] = assemble_R(graph, k, abs(g), g < 0)
             trace = trace_product([ops[g] for g in b.letters])
         interior.append(trace)
     # every interior vertex has the common denominator (module docstring); 2 strands have none
     common = interior[0].den if interior else LaurentPoly.one()
+    writhe = b.writhe
     contributions = []
     for k, (vertex, sign, ops) in enumerate(vertices):
         if 0 < k < m - 1:
@@ -194,16 +203,13 @@ def alexander(color: Hook, b: BraidWord) -> AlexanderResult:
                 raise InexactDivisionError(
                     f"vertex sum: the trace denominator of vertex k={k} ({den.summary()}) "
                     f"is not the common one ({common.summary()})")
-        else:  # one path: each letter acts by its signed monomial entry, raised to its count
-            exp = 0
-            for g, n in counts.items():
-                if g not in ops:
-                    ops[g] = assemble_R(graph, k, abs(g), g < 0)
-                entry = ops[g].numerator_rows()[0][0]
-                exp += n * entry.min_exp
-                if n % 2 and entry.terms[0] < 0:
-                    sign = -sign
-            num = common.shift(exp)  # the trace q^exp, lifted by the common denominator
+        else:  # one path, one eigenvalue: the trace is its power to the writhe
+            if 1 not in ops:
+                ops[1] = assemble_R(graph, k, 1)
+            eigenvalue = ops[1].numerator_rows()[0][0]
+            if writhe % 2 and eigenvalue.terms[0] < 0:
+                sign = -sign
+            num = common.shift(writhe * eigenvalue.min_exp)  # lifted by the common denominator
         contributions.append((vertex, num * sign))
     total = poly_sum([num for _, num in contributions])
     denominator = den_product(((qnum_bullet(m, color.size), 1), (common, 1)))

@@ -24,7 +24,8 @@ the operator product keeps its least width, since every letter reuses its
 ints.
 `LaurentPoly.substitute_neg_inverse` (q -> -q**-1) gives the evaluator the
 traces of its mirrored vertices.  `unit_normalize` brings a result to the
-canonical form that both the evaluator and the Burau oracle return.  `det`
+canonical form that both the evaluator and the Burau oracle return, and
+checks that it is invariant under q -> q**-1.  `det`
 is the one determinant routine, Bareiss elimination over any ring with an
 exact division: the Burau oracle runs it on packed ints, and the tests'
 Jacobi-Trudi check on `Fraction` values.
@@ -513,7 +514,12 @@ def power_product(factors: Sequence[tuple[LaurentPoly, int]]) -> LaurentPoly:
 
 
 def unit_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Multiply by the unit +-q^j giving a symmetric exponent range and value +1 at q=1."""
+    """Multiply by the unit +-q^j giving a symmetric exponent range and value +1 at q=1.
+
+    The result is checked to be invariant under q -> q^-1, as the Alexander
+    polynomial of a knot is: centered, its coefficients read the same from
+    either end, or :class:`NormalizationError` is raised.
+    """
     if p.is_zero():
         raise NormalizationError("normalization: the polynomial is 0")
     span = p.min_exp + p.degree()
@@ -522,13 +528,14 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
             f"normalization: the exponent range of ({p.summary()}) cannot be centered")
     centered = p.shift(-span // 2)
     v = centered.at_one()
-    if v == 1:
-        return centered
-    if v == -1:
-        return -centered
-    value = v if abs(v).bit_length() <= 64 else f"a {abs(v).bit_length()}-bit integer"
-    raise NormalizationError(
-        f"normalization: the value at q=1 of ({p.summary()}) is {value}, not a unit")
+    if v != 1 and v != -1:
+        value = v if abs(v).bit_length() <= 64 else f"a {abs(v).bit_length()}-bit integer"
+        raise NormalizationError(
+            f"normalization: the value at q=1 of ({p.summary()}) is {value}, not a unit")
+    if centered.terms != centered.terms[::-1]:
+        raise NormalizationError(
+            f"normalization: ({p.summary()}) is not invariant under q -> q^-1 once centered")
+    return centered if v == 1 else -centered
 
 
 def _not_divisible(num: LaurentPoly, den: LaurentPoly) -> InexactDivisionError:

@@ -51,11 +51,12 @@ column's ints and carries the term's sign in its factor.  Since a factor
 moves a stored polynomial by a signed power of q only, the width proof does
 not change.  Each operator is built once, by :func:`assemble_R`, as a
 :class:`BlockOperator`: its numerator rows, the entry norms the width bound
-needs, and either its diagonal signs and exponents or, for an operator with
-a doublet, its packed terms, one tuple per column, memoized for at most
-``PLAN_WIDTHS`` widths; a column of one or two terms is read by unpacking
-it, and only the longer ones of spread q-numbers are sorted.  Operators
-repeat across letters, vertices and braids, so a product only shifts and adds.
+needs, per column as (row, norm) pairs, and either its diagonal signs and
+exponents or, for an operator with a doublet, its packed terms, one tuple
+per column, memoized for at most ``PLAN_WIDTHS`` widths; a column of one or
+two terms is read by unpacking it, and only the longer ones of spread
+q-numbers are sorted.  Operators repeat across letters, vertices and braids,
+so a product only shifts and adds.
 
 What follows the product stays packed too.  The trace's denominator is the
 product of a few distinct bullet q-numbers, each raised to its count on one
@@ -68,9 +69,11 @@ term of a trace lies in one class mod ``2N`` (proof in :func:`trace_product`),
 so its numerator is decoded at that grade, reading one digit in ``2N``, and a
 decoded coefficient too wide for one digit reveals a nonzero digit between.
 The evaluator takes the trace at either end vertex, whose one path no
-doublet touches, off its operators' single entries and runs the product only
-at interior vertices; a direct call on such a product decodes its identity
-column like any other.
+doublet touches, in closed form, one operator's single entry to the braid's
+writhe, and runs the product only at interior vertices; a direct call on
+such a product decodes its identity column like any other.  What a product
+needs of its basis size alone, the identity columns it starts from, is built
+once per dimension.
 """
 
 from __future__ import annotations
@@ -152,6 +155,12 @@ DEN_PRODUCT_CACHE_SIZE = 32
 # oldest width is dropped.
 PLAN_WIDTHS = 8
 
+# Identity matrices held by the _identity cache, one per path-basis dimension.
+# The basis at vertex k of m strands has C(m - 1, k) paths: 20 distinct sizes
+# up to the strand limit, of which the interior vertices of one strand count
+# visit at most m // 2.
+IDENTITY_CACHE_SIZE = 16
+
 NumeratorRows = list[dict[int, LaurentPoly]]
 
 # An operator's terms at one width, one flat tuple per column: row,
@@ -174,11 +183,13 @@ class BlockOperator(list):
     gcd reduction.  Built once by :func:`assemble_R` and shared by every
     product, so callers must not mutate the rows.
 
-    What products need of the rows is computed with them: ``col_norms`` holds
-    the 1-norm of every entry, flat as column, row, norm, column, row, norm,
-    ...  An operator without a doublet is diagonal with entries ``+-q**exps[c]``,
-    the sign negative where bit ``c`` of ``neg`` is set; for any other operator
-    ``exps`` is None and :meth:`packed` gives its terms at one width.
+    What products need of the rows is computed with them: ``col_norms`` holds,
+    per column, the 1-norm of each entry as two (row, norm) pairs flat in one
+    tuple, ``(r, n, r2, n2)``; a column has at most two entries too, and one
+    of a single entry pads it with the pair ``(0, 0)``.  An operator without
+    a doublet is diagonal with entries ``+-q**exps[c]``, the sign negative
+    where bit ``c`` of ``neg`` is set; for any other operator ``exps`` is
+    None and :meth:`packed` gives its terms at one width.
     ``grade`` divides every exponent gap on the diagonal: for an operator
     with a doublet it is ``2N``, the step of its ``den`` (a bullet q-number
     ``[n]_N`` with ``n >= 2``); for a diagonal one it is the gcd of those
@@ -200,8 +211,11 @@ class BlockOperator(list):
     def __init__(self, rows: NumeratorRows, den: LaurentPoly):
         super().__init__(rows)
         self.den = den
-        self.col_norms = tuple(x for r, row in enumerate(rows) for c, p in row.items()
-                               for x in (c, r, _norm(p)))
+        norms: list[tuple[int, ...]] = [() for _ in rows]
+        for r, row in enumerate(rows):
+            for c, p in row.items():
+                norms[c] += (r, _norm(p))
+        self.col_norms = tuple([n if len(n) == 4 else n + (0, 0) for n in norms])
         self.neg, self.exps, self.grade = 0, None, den.step
         if den.is_one():
             diagonal = [row[c] for c, row in enumerate(rows)]
@@ -312,10 +326,11 @@ def assemble_R(graph: HookGraph, target_k: int, i: int, inverse: bool = False) -
 #
 # What a product needs of one operator is computed once, when assemble_R
 # builds it (:class:`BlockOperator`): its rows, the entry norms of the width
-# bound and, for a diagonal operator, its signs and exponents.  The packed
-# terms of an operator with a doublet depend on the width too, so each
-# operator memoizes them for its last PLAN_WIDTHS widths.  A product then
-# only looks its operators' terms up and shifts and adds.
+# bound, per column, and, for a diagonal operator, its signs and exponents.
+# The packed terms of an operator with a doublet depend on the width too, so
+# each operator memoizes them for its last PLAN_WIDTHS widths, and the
+# identity columns a product starts from are kept per dimension.  A product
+# then only looks its operators' terms up and shifts and adds.
 
 # Bits of packed span per nonzero term above which an entry is applied as one
 # signed shift per term.  A q-number [n]_N has n terms over 2N(n-1) exponents,
@@ -405,18 +420,21 @@ def _column_bound(ops: Sequence[BlockOperator]) -> int:
     """``sum_c u_c``, with ``u`` the column sums of entry 1-norms carried through the product.
 
     It bounds every coefficient of every entry and of the trace of the
-    product (see :func:`_packed_product`).
+    product (see :func:`_packed_product`).  Each operator with a doublet
+    maps ``u`` in one pass over its columns' (row, norm) pairs; a padding
+    pair has norm 0 and adds nothing.
     """
     u = [1] * len(ops[0])
     for op in ops:
-        if op.exps is not None:  # diagonal, every entry a signed monomial: u is unchanged
-            continue
-        nxt = [0] * len(u)
-        it = iter(op.col_norms)
-        for c, r, n in zip(it, it, it):
-            nxt[c] += u[r] * n
-        u = nxt
+        if op.exps is None:  # a diagonal one, every entry a signed monomial, leaves u unchanged
+            u = [u[r] * n + u[r2] * n2 for r, n, r2, n2 in op.col_norms]
     return sum(u)
+
+
+@lru_cache(maxsize=IDENTITY_CACHE_SIZE)
+def _identity(dim: int) -> list[list[int]]:
+    """The columns of the ``dim``-dim identity, shared: no pass changes a list in place."""
+    return [[int(r == c) for r in range(dim)] for c in range(dim)]
 
 
 def _packed_product(ops: Sequence[BlockOperator]
@@ -461,7 +479,7 @@ def _packed_product(ops: Sequence[BlockOperator]
     ops = [op.numerator_rows() for op in ops]
     width = packing_width(_column_bound(ops))
 
-    cols = [[int(r == c) for r in range(dim)] for c in range(dim)]
+    cols = _identity(dim)
     neg, exps = 0, [0] * dim
     dens: dict[int, list] = {}  # id(den) -> [den, count]; hashing a polynomial costs more
     for op in ops:

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hookalex.braid import (BraidWord, GeneratorOutOfRangeError,
-                            MalformedTokenError, ZeroLetterError,
-                            closure_is_knot, parse_braid, render_braid)
+                            MalformedTokenError, NotAKnotError, ZeroLetterError,
+                            check_knot, closure_is_knot, parse_braid, render_braid)
+from hookalex.evaluator import alexander
+from hookalex.oracle import burau_alexander
+from hookalex.young import Hook
 
 from conftest import conjugate, corpus, markov_variants, stabilize
 
@@ -43,6 +47,32 @@ def test_strand_minimum():
 @given(braid_words())
 def test_render_parse_roundtrip(b):
     assert parse_braid(render_braid(b), b.strands) == b
+
+
+# -- per-word facts --------------------------------------------------------------
+
+@given(braid_words())
+def test_kept_facts_are_the_direct_ones(b):
+    assert b.writhe == sum(1 if g > 0 else -1 for g in b.letters)
+    assert b.counts == Counter(b.letters)
+    assert b.is_knot == corpus.is_knot(b.strands, b.letters)
+
+
+def test_kept_facts_leave_equality_and_hash_alone():
+    a, b = parse_braid("1 -2 1 -2", 3), parse_braid("1 -2 1 -2", 3)
+    assert (a.is_knot, a.writhe, a.counts) == (True, 0, {1: 2, -2: 2})
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == repr(b) == "BraidWord(strands=3, letters=(1, -2, 1, -2))"
+    assert a != parse_braid("1 -2 1 2", 3)
+
+
+def test_a_link_is_refused_on_every_call():
+    link = parse_braid("1 -2 1", 3)
+    for _ in range(3):
+        assert not closure_is_knot(link)
+        for refuse in (check_knot, burau_alexander, lambda b: alexander(Hook(1, 0), b)):
+            with pytest.raises(NotAKnotError):
+                refuse(link)
 
 
 # -- writhe ---------------------------------------------------------------------

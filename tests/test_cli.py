@@ -28,10 +28,7 @@ def test_module_runs_as_a_command_with_its_exit_codes():
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[-1] == \
         "PASS  15 of 15 operator identities hold, hook (0,0) strands 3"
-    proc = run_hookalex("table", "--max-hook-size", "0")
-    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-    assert proc.stderr.startswith("usage error: --max-hook-size: ")
-    assert "Traceback" not in proc.stderr
+    # exit 2 from the command is test_scripts.py's test_empty_sweep_is_usage_error
 
 
 # -- eval ---------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hookalex.rmatrix import (DEN_PRODUCT_CACHE_SIZE, BlockOperator, assemble_R,
                               framing_factor, trace_product)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-from conftest import expected, markov_variants, random_knot, torus_braid
+from conftest import corpus, expected, markov_variants, random_knot, torus_braid
 
 TREFOIL = parse_braid("1 1 1", 2)
 FIGURE8 = parse_braid("1 -2 1 -2", 3)
@@ -37,6 +38,17 @@ def test_unit_normalize_rejects_nonunits():
         with pytest.raises(NormalizationError) as exc:
             unit_normalize(p)
         assert str(exc.value).startswith("normalization:") and p.summary() in str(exc.value)
+
+
+def test_unit_normalize_rejects_an_asymmetric_polynomial():
+    # centered and +1 at q=1, but not invariant under q -> q^-1
+    for p in (LaurentPoly(-1, (2, 0, -1)), LaurentPoly(-1, (-2, 0, 1)),
+              LaurentPoly(3, (2, -1, 0, -1, 1)), LaurentPoly(-4, (1, 0, 0, 0, 1, 0, 0, 0, -1))):
+        with pytest.raises(NormalizationError) as exc:
+            unit_normalize(p)
+        message = str(exc.value)
+        assert message.startswith("normalization:") and p.summary() in message
+        assert "q -> q^-1" in message
 
 
 def test_uncenterable_message_is_bounded():
@@ -338,14 +350,20 @@ def _mirror_image(b):
 
 
 def test_end_vertices_are_their_traces_lifted_by_common():
+    # The closed form, one eigenvalue to the writhe, against the trace of the
+    # letters' operators at each end vertex, the product of their single entries.
     rng = random.Random(25)
     braids = [torus_braid(2, 2 * j + 1) for j in range(1, 5)]
+    braids += [BraidWord(e.strands, e.letters)
+               for stratum in corpus.pool("long-braid") for e in stratum if e.torus]
     for m in range(2, 9):
-        for length in (m - 1, m + 3, 3 * m + 1):
-            b = random_knot(rng, m, length)
-            braids.append(b if b.writhe < 0 else _mirror_image(b))
+        words = [random_knot(rng, m, length) for length in (m - 1, m + 3, 3 * m + 1)]
+        braids += [b if b.writhe < 0 else _mirror_image(b) for b in words]
+        positive = BraidWord(m, tuple(abs(g) for g in words[0].letters))  # the same permutation
+        braids += [positive, _mirror_image(positive)]
     braids += [_mirror_image(b) for b in braids[:4]]  # T(2, -(2j+1))
     assert sum(b.writhe < 0 for b in braids) > len(braids) // 2
+    assert {b.writhe % 2 for b in braids} == {0, 1}  # an odd power keeps a negative sign
     for b in braids:
         m = b.strands
         for h in hooks_up_to_size(3):
@@ -353,10 +371,12 @@ def test_end_vertices_are_their_traces_lifted_by_common():
             common = exact_div(res.denominator, qnum_bullet(m, h.size))
             graph = HookGraph(h, m)
             for k in (0, m - 1):
-                num, den = trace_product([assemble_R(graph, k, abs(g), g < 0) for g in b.letters])
+                ops = [assemble_R(graph, k, abs(g), g < 0) for g in b.letters]
+                num, den = trace_product(ops)
                 vertex = graph.vertex(m, k)
                 sign, _ = hook_weight(h, vertex)
                 assert den.is_one() and len(num.terms) == 1, (h, b, k)
+                assert num == math.prod([op[0][0] for op in ops], start=LaurentPoly.one())
                 assert res.contributions[k] == (vertex, common * num * sign), (h, b, k)
 
 

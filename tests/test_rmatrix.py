@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -7,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from hookalex import rmatrix
-from hookalex.braid import closure_is_knot, parse_braid
+from hookalex.braid import BraidWord, closure_is_knot, parse_braid
+from hookalex.evaluator import alexander
 from hookalex.laurent import (InexactDivisionError, LaurentPoly, pack, power_product, qnum,
                               qnum_bullet, unpack)
 from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
@@ -17,7 +20,8 @@ from hookalex.rmatrix import (PLAN_WIDTHS, BlockOperator, assemble_R,
                               transpose_holds, yang_baxter_holds)
 from hookalex.young import Hook, HookGraph, hooks_up_to_size
 
-from conftest import evaluate, symmetric_operator_numeric, trace_product_numeric
+from conftest import corpus, evaluate, symmetric_operator_numeric, trace_product_numeric
+from test_bit_identity import CASES, _braid
 
 mono = LaurentPoly.monomial
 
@@ -555,10 +559,90 @@ def test_plan_matches_its_rows():
                         else:  # every diagonal exponent in one class mod the grade, 2N
                             assert op.exps is None and op.neg == 0
                             assert op.grade == 2 * h.size and gap % op.grade == 0
-                        it = iter(op.col_norms)
-                        norms = {(r, c): n for c, r, n in zip(it, it, it)}
+                        # per column two (row, norm) pairs, a one-entry column padded by (0, 0)
+                        pairs = [(r, c, n) for c, col in enumerate(op.col_norms)
+                                 for r, n in zip(col[::2], col[1::2])]
+                        assert len(op.col_norms) == len(op)
+                        assert all(len(col) == 4 for col in op.col_norms)
+                        assert all(r == 0 for r, _, n in pairs if n == 0)
+                        norms = {(r, c): n for r, c, n in pairs if n}
                         assert norms == {(r, c): _norm(p) for r, row in enumerate(op)
                                          for c, p in row.items()}
+
+
+def _flat_column_bound(ops):
+    """The column bound as one pass over every entry of each operator with a doublet."""
+    u = [1] * len(ops[0])
+    for op in ops:
+        if op.exps is not None:
+            continue
+        nxt = [0] * len(u)
+        for r, row in enumerate(op):
+            for c, p in row.items():
+                nxt[c] += u[r] * _norm(p)
+        u = nxt
+    return sum(u)
+
+
+def _recorded_products(monkeypatch, evaluations):
+    """The operator lists of every product that the evaluations run, in order."""
+    products = []
+    packed_product = rmatrix._packed_product
+
+    def recorded(ops):
+        products.append(list(ops))
+        return packed_product(ops)
+
+    monkeypatch.setattr(rmatrix, "_packed_product", recorded)
+    for h, b in evaluations:
+        alexander(h, b)
+    monkeypatch.undo()
+    return products
+
+
+def test_column_bound_is_the_flat_bound_on_the_bit_identity_corpus(monkeypatch):
+    products = _recorded_products(
+        monkeypatch, [(Hook(arm, leg), _braid(name)) for name, arm, leg in CASES])
+    assert len(products) > len(CASES)
+    for ops in products:
+        assert rmatrix._column_bound(ops) == _flat_column_bound(ops)
+
+
+# The packed width of every product over the benchmark's three pools, in the
+# order the products run: their count, their distinct values and the SHA-256
+# of the JSON list.
+POOL_WIDTHS = {
+    "fund-wide": (300, [24, 32, 40, 48],
+                  "5a9668c0f4a94fcf3462a44cd82726e8731a8cd8cac7e86fe4564e7cc5ee7c10"),
+    "colored-scaling": (1000, [8, 16, 24],
+                        "d27c5ab9d03777bb14fe0dede0ed247e4b1d9d9c8b9bcf1a23054e51b8511e3d"),
+    "long-braid": (115, [48, 56, 64, 96, 104, 112, 120, 128, 136],
+                   "dbcc12c1477cfa44de20d12c57dc199d26d9638dbed37f9f4f629fc87487c17d"),
+}
+POOL_HOOKS = {"fund-wide": [Hook(0, 0)], "colored-scaling": list(hooks_up_to_size(3)),
+              "long-braid": [Hook(0, 0), Hook(2, 1)]}
+
+
+@pytest.mark.parametrize("workload", sorted(POOL_WIDTHS))
+def test_packed_widths_over_the_benchmark_pools_are_pinned(monkeypatch, workload):
+    products = _recorded_products(
+        monkeypatch, [(h, BraidWord(e.strands, e.letters))
+                      for stratum in corpus.pool(workload) for e in stratum
+                      for h in POOL_HOOKS[workload]])
+    widths = [rmatrix.packing_width(rmatrix._column_bound(ops)) for ops in products]
+    digest = hashlib.sha256(json.dumps(widths).encode()).hexdigest()
+    assert (len(widths), sorted(set(widths)), digest) == POOL_WIDTHS[workload]
+
+
+def test_products_share_one_identity_per_dimension():
+    g = HookGraph(Hook(1, 0), 5)
+    for k in range(5):
+        ops = [assemble_R(g, k, 1), assemble_R(g, k, 1, True)]
+        first, second = rmatrix._packed_product(ops)[0], rmatrix._packed_product(ops[::-1])[0]
+        dim = len(ops[0])
+        assert first is second is rmatrix._identity(dim)
+        assert first == [[int(r == c) for r in range(dim)] for c in range(dim)]
+    assert rmatrix._identity.cache_info().maxsize == rmatrix.IDENTITY_CACHE_SIZE
 
 
 def _fresh(ops):
